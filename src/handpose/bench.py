@@ -11,7 +11,7 @@ import numpy as np
 
 from . import rand
 from .gesture_net import Network
-from .pipeline import PipelineConfig, run_session
+from .pipeline import PipelineConfig, latency_stats, run_session
 
 # published reference point for the same network on a 1.2 GHz embedded
 # core: 0.351 s per image at 0.690 W (reported, never asserted here)
@@ -32,19 +32,7 @@ class BenchReport:
             raise ValueError("iterations must equal sample count")
 
     def stats(self) -> dict:
-        arr = np.sort(np.asarray(self.samples_ms, dtype=np.float64))
-        n = len(arr)
-
-        def nearest_rank(q):
-            return float(arr[max(1, int(np.ceil(q * n))) - 1])
-
-        return {
-            "mean": float(arr.mean()),
-            "p50": nearest_rank(0.5),
-            "p95": nearest_rank(0.95),
-            "min": float(arr[0]),
-            "max": float(arr[-1]),
-        }
+        return latency_stats(self.samples_ms)
 
     def to_dict(self) -> dict:
         d = {

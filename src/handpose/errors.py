@@ -65,10 +65,6 @@ class ChecksumMismatch(HandposeError):
     pass
 
 
-class BadWeights(HandposeError):
-    pass
-
-
 # skin model
 class EmptyInput(HandposeError):
     pass

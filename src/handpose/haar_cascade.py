@@ -238,12 +238,11 @@ def serialize_cascade(model: CascadeModel) -> str:
 
 
 def _scaled_rect(r: WeightedRect, scale: float):
-    return (
-        int(round(r.x * scale)),
-        int(round(r.y * scale)),
-        max(1, int(round(r.w * scale))),
-        max(1, int(round(r.h * scale))),
-    )
+    """Scale the near and far edges, so a rect that ends at the window's
+    edge ends at the rounded window's edge."""
+    x = round(r.x * scale)
+    y = round(r.y * scale)
+    return x, y, max(1, round((r.x + r.w) * scale) - x), max(1, round((r.y + r.h) * scale) - y)
 
 
 def _eval_tree(tree: Tree, integral: IntegralTable, x, y, scale, inv_norm) -> float:
@@ -265,7 +264,7 @@ def _eval_tree(tree: Tree, integral: IntegralTable, x, y, scale, inv_norm) -> fl
             idx = node.right_child
 
 
-def evaluate_window(model: CascadeModel, integral: IntegralTable, sq: IntegralTable, win) -> bool:
+def evaluate_window(model: CascadeModel, integral: IntegralTable, win) -> bool:
     """Pass/fail of one window at (x, y) with the given scale multiplier.
 
     Feature values are normalized by window area times the windowed
@@ -278,7 +277,7 @@ def evaluate_window(model: CascadeModel, integral: IntegralTable, sq: IntegralTa
         raise WindowOutOfFrame(f"window ({x},{y},{ww},{wh}) outside frame")
     area = ww * wh
     mean = integral.rect_sum(x, y, ww, wh) / area
-    var = sq.rect_sqsum(x, y, ww, wh) / area - mean * mean
+    var = integral.rect_sqsum(x, y, ww, wh) / area - mean * mean
     sigma = np.sqrt(max(var, 0.0))
     if sigma < 1.0:
         sigma = 1.0
@@ -354,7 +353,7 @@ def detect_multiscale(
         stride = max(1, int(round(step_fraction * scale)))
         for y in range(0, gray.height - wh + 1, stride):
             for x in range(0, gray.width - ww + 1, stride):
-                if evaluate_window(model, integral, integral, (x, y, scale)):
+                if evaluate_window(model, integral, (x, y, scale)):
                     raw.append((x, y, ww, wh))
         scale *= scale_factor
     return _group_detections(raw, min_neighbors)

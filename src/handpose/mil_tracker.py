@@ -49,13 +49,14 @@ class TrackerState:
     bbox: tuple
     frame_size: tuple  # (w, h)
     params: MILParams
-    # flattened feature pool: one row per rectangle
+    # flattened feature pool: one row per rectangle, grouped by feature;
+    # feature f owns rows feat_start[f]:feat_start[f + 1]
     rect_x: np.ndarray
     rect_y: np.ndarray
     rect_w: np.ndarray
     rect_h: np.ndarray
     rect_weight: np.ndarray
-    feat_of_rect: np.ndarray
+    feat_start: np.ndarray
     mu1: np.ndarray
     sg1: np.ndarray
     mu0: np.ndarray
@@ -68,50 +69,44 @@ def _generate_features(pw: int, ph: int, m: int, seed: int):
     """Random 2-4 rect features with weights in [-1, 1], inside a pw x ph patch."""
     rng = rand.generator(seed, 7)
     rows = []
-    for f in range(m):
+    feat_start = [0]
+    for _ in range(m):
         for _ in range(int(rng.integers(2, 5))):
             x = int(rng.integers(0, pw))
             y = int(rng.integers(0, ph))
             w = int(rng.integers(1, pw - x + 1))
             h = int(rng.integers(1, ph - y + 1))
             weight = float(rng.uniform(-1.0, 1.0))
-            rows.append((x, y, w, h, weight, f))
+            rows.append((x, y, w, h, weight))
+        feat_start.append(len(rows))
     arr = np.array(rows, dtype=np.float64)
-    return (
-        arr[:, 0].astype(np.intp),
-        arr[:, 1].astype(np.intp),
-        arr[:, 2].astype(np.intp),
-        arr[:, 3].astype(np.intp),
-        arr[:, 4],
-        arr[:, 5].astype(np.intp),
-    )
+    rx, ry, rw, rh = (arr[:, i].astype(np.intp) for i in range(4))
+    return rx, ry, rw, rh, arr[:, 4], np.array(feat_start, dtype=np.intp)
 
 
 def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarray, feats: np.ndarray):
     """Values of the given features at patch top-left corners `locs` (n, 2).
 
     Returns (n_locs, len(feats)) float64, normalized by the patch area.
+    Each column sums its feature's weighted rects in pool order from 0.0:
+    pass k adds rect k of every feature that has one (features have 2-4).
     """
-    keep = np.isin(state.feat_of_rect, feats)
-    rx, ry = state.rect_x[keep], state.rect_y[keep]
-    rw, rh = state.rect_w[keep], state.rect_h[keep]
-    weights = state.rect_weight[keep]
-    # map global feature ids to column indices
-    col_of = {f: i for i, f in enumerate(feats)}
-    cols = np.array([col_of[f] for f in state.feat_of_rect[keep]], dtype=np.intp)
-
+    start = state.feat_start[feats]
+    n_rects = state.feat_start[feats + 1] - start
     lx = locs[:, 0][:, None]
     ly = locs[:, 1][:, None]
-    x1 = lx + rx[None, :]
-    y1 = ly + ry[None, :]
-    x2 = x1 + rw[None, :]
-    y2 = y1 + rh[None, :]
     s = integral.sum
-    rect_sums = (s[y2, x2] - s[y1, x2] - s[y2, x1] + s[y1, x1]).astype(np.float64)
     area = state.bbox[2] * state.bbox[3]
-    weighted = rect_sums * weights[None, :] / area
     out = np.zeros((locs.shape[0], len(feats)), dtype=np.float64)
-    np.add.at(out.T, cols, weighted.T)
+    for k in range(4):
+        cols = np.flatnonzero(n_rects > k)
+        r = start[cols] + k
+        x1 = lx + state.rect_x[r]
+        y1 = ly + state.rect_y[r]
+        x2 = x1 + state.rect_w[r]
+        y2 = y1 + state.rect_h[r]
+        rect_sums = (s[y2, x2] - s[y1, x2] - s[y2, x1] + s[y1, x1]).astype(np.float64)
+        out[:, cols] += rect_sums * state.rect_weight[r] / area
     return out
 
 
@@ -154,7 +149,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _update_gaussians(state: TrackerState, cur_vals, pos_vals, neg_vals, first=False):
+def _update_gaussians(state: TrackerState, cur_vals, neg_vals, first=False):
     """Running-average update of the class Gaussians with rate gamma.
 
     The positive Gaussian follows the instance at the tracked location so
@@ -165,50 +160,46 @@ def _update_gaussians(state: TrackerState, cur_vals, pos_vals, neg_vals, first=F
     """
     g = 0.0 if first else state.params.gamma
     floor = state.params.sigma_floor
-    for m, v, mu_name, sg_name in (
-        (cur_vals.mean(axis=0), cur_vals.var(axis=0), "mu1", "sg1"),
-        (neg_vals.mean(axis=0), neg_vals.var(axis=0), "mu0", "sg0"),
-    ):
-        mu = getattr(state, mu_name)
-        sg = getattr(state, sg_name)
-        setattr(state, mu_name, g * mu + (1.0 - g) * m)
-        setattr(state, sg_name, np.maximum(np.sqrt(g * sg**2 + (1.0 - g) * v), floor))
+
+    def blend(mu, sg, vals):
+        var = g * sg**2 + (1.0 - g) * vals.var(axis=0)
+        return g * mu + (1.0 - g) * vals.mean(axis=0), np.maximum(np.sqrt(var), floor)
+
+    state.mu1, state.sg1 = blend(state.mu1, state.sg1, cur_vals)
+    state.mu0, state.sg0 = blend(state.mu0, state.sg0, neg_vals)
 
 
-def noisy_or(probs: np.ndarray) -> float:
-    """Bag positive probability 1 - prod(1 - p_i)."""
-    return float(1.0 - np.prod(1.0 - np.asarray(probs, dtype=np.float64)))
+def noisy_or(probs: np.ndarray):
+    """Bag positive probability 1 - prod(1 - p_i) over instances (axis 0)."""
+    return 1.0 - np.prod(1.0 - np.asarray(probs, dtype=np.float64), axis=0)
 
 
 def _select_classifiers(state: TrackerState, pos_llr: np.ndarray, neg_llr: np.ndarray):
     """Greedy pick of K classifiers maximizing the noisy-OR bag likelihood.
 
     pos_llr / neg_llr: (n_instances, M) per-classifier LLRs at the bag
-    locations. Returns the chosen indices and the LL trace per step.
+    locations. Returns the chosen indices in pick order.
     """
     m = pos_llr.shape[1]
     k = state.params.num_selected
     h_pos = np.zeros(pos_llr.shape[0])
     h_neg = np.zeros(neg_llr.shape[0])
     chosen = []
-    trace = []
     remaining = np.ones(m, dtype=bool)
     eps = 1e-12
     for _ in range(k):
         p_pos = _sigmoid(h_pos[:, None] + pos_llr)  # (n_pos, M)
         p_neg = _sigmoid(h_neg[:, None] + neg_llr)
-        bag_pos = 1.0 - np.prod(1.0 - p_pos, axis=0)
-        ll = np.log(np.clip(bag_pos, eps, None)) + np.sum(
+        ll = np.log(np.clip(noisy_or(p_pos), eps, None)) + np.sum(
             np.log(np.clip(1.0 - p_neg, eps, None)), axis=0
         )
         ll[~remaining] = -np.inf
         best = int(ll.argmax())
         chosen.append(best)
-        trace.append(float(ll[best]))
         remaining[best] = False
         h_pos = h_pos + pos_llr[:, best]
         h_neg = h_neg + neg_llr[:, best]
-    return np.array(chosen, dtype=np.intp), trace
+    return np.array(chosen, dtype=np.intp)
 
 
 def _mil_update(state: TrackerState, integral: IntegralTable, first=False):
@@ -232,10 +223,10 @@ def _mil_update(state: TrackerState, integral: IntegralTable, first=False):
     pos_vals = _feature_values(state, integral, pos_locs, all_feats)
     neg_vals = _feature_values(state, integral, neg_locs, all_feats)
     cur_vals = _feature_values(state, integral, np.array([[cx, cy]]), all_feats)
-    _update_gaussians(state, cur_vals, pos_vals, neg_vals, first)
+    _update_gaussians(state, cur_vals, neg_vals, first)
     pos_llr = _llr(state, pos_vals, all_feats)
     neg_llr = _llr(state, neg_vals, all_feats)
-    state.selected, _ = _select_classifiers(state, pos_llr, neg_llr)
+    state.selected = _select_classifiers(state, pos_llr, neg_llr)
 
 
 def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int = 42) -> TrackerState:
@@ -245,7 +236,7 @@ def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int =
         raise DegenerateBox(f"bbox area {w * h} below minimum 16")
     if x < 0 or y < 0 or x + w > gray.width or y + h > gray.height:
         raise BoxOutOfFrame(f"bbox {bbox} outside {gray.width}x{gray.height} frame")
-    rx, ry, rw, rh, rweight, feat_of_rect = _generate_features(w, h, params.num_features, seed)
+    rx, ry, rw, rh, rweight, feat_start = _generate_features(w, h, params.num_features, seed)
     m = params.num_features
     state = TrackerState(
         bbox=(x, y, w, h),
@@ -256,7 +247,7 @@ def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int =
         rect_w=rw,
         rect_h=rh,
         rect_weight=rweight,
-        feat_of_rect=feat_of_rect,
+        feat_start=feat_start,
         mu1=np.zeros(m),
         sg1=np.ones(m),
         mu0=np.zeros(m),

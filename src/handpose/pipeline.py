@@ -61,7 +61,7 @@ class PipelineConfig:
 class PipelineState:
     mode: str = DETECTING
     tracker: mil_tracker.TrackerState | None = None
-    label_history: deque = field(default_factory=lambda: deque(maxlen=5))
+    label_history: deque = field(default_factory=deque)
     frame_index: int = 0
 
 
@@ -193,18 +193,13 @@ class SessionReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _stat_block(samples):
+def latency_stats(samples) -> dict:
+    """Mean, nearest-rank p50/p95, min and max of a non-empty sample list."""
     arr = np.sort(np.asarray(samples, dtype=np.float64))
-    n = len(arr)
-
-    def nearest_rank(q):
-        return float(arr[max(1, int(np.ceil(q * n))) - 1])
-
     return {
-        "count": n,
         "mean": float(arr.mean()),
-        "p50": nearest_rank(0.5),
-        "p95": nearest_rank(0.95),
+        "p50": float(skin_segment.nearest_rank(arr, 0.5)),
+        "p95": float(skin_segment.nearest_rank(arr, 0.95)),
         "min": float(arr[0]),
         "max": float(arr[-1]),
     }
@@ -212,7 +207,7 @@ def _stat_block(samples):
 
 def run_session(frames, cfg: PipelineConfig) -> SessionReport:
     """Stream `frames` (iterable of Image) through the state machine."""
-    state = PipelineState(label_history=deque(maxlen=cfg.smoothing_window))
+    state = PipelineState()
     outputs = []
     for frame in frames:
         state, out = advance(state, frame, cfg)
@@ -223,7 +218,7 @@ def run_session(frames, cfg: PipelineConfig) -> SessionReport:
     for key in ("total_ms", "detect_ms", "track_ms", "segment_ms", "classify_ms"):
         samples = [o.timings[key] for o in outputs if key in o.timings]
         if samples:
-            aggregates[key] = _stat_block(samples)
+            aggregates[key] = {"count": len(samples), **latency_stats(samples)}
     return SessionReport(outputs, aggregates)
 
 

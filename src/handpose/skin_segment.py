@@ -67,11 +67,9 @@ def _six_channels(rgb_pixels: np.ndarray) -> np.ndarray:
     return np.concatenate([img.pixels, ycc], axis=2).astype(np.int64)
 
 
-def nearest_rank(sorted_values: np.ndarray, q: float) -> int:
+def nearest_rank(sorted_values: np.ndarray, q: float):
     """Nearest-rank percentile: value at rank max(1, ceil(q*n)), 1-based."""
-    n = len(sorted_values)
-    rank = max(1, int(np.ceil(q * n)))
-    return int(sorted_values[rank - 1])
+    return sorted_values[max(1, int(np.ceil(q * len(sorted_values)))) - 1]
 
 
 def fit_skin_model(pixels, alpha: float = 0.025) -> SkinModel:

@@ -63,6 +63,22 @@ def brute_rect_sum(pixels, x, y, w, h):
     return total
 
 
+def mil_feature_values_oracle(state, pixels, locs, feats):
+    """MIL feature values by brute rect sums: per rect, in pool order,
+    float(sum) * weight / area added to 0.0; (n_locs, len(feats))."""
+    area = state.bbox[2] * state.bbox[3]
+    out = np.zeros((len(locs), len(feats)))
+    for li, (lx, ly) in enumerate(locs):
+        for col, f in enumerate(feats):
+            acc = 0.0
+            for r in range(state.feat_start[f], state.feat_start[f + 1]):
+                x, y = int(lx + state.rect_x[r]), int(ly + state.rect_y[r])
+                total = brute_rect_sum(pixels, x, y, int(state.rect_w[r]), int(state.rect_h[r]))
+                acc += float(total) * float(state.rect_weight[r]) / area
+            out[li, col] = acc
+    return out
+
+
 def flood_fill_components(bits, connectivity=8):
     """Independent BFS labeling; returns list of sets of (y, x) points."""
     if connectivity == 4:

@@ -14,6 +14,7 @@ from handpose.haar_cascade import (
     Tree,
     TreeNode,
     WeightedRect,
+    _scaled_rect,
     detect_multiscale,
     evaluate_window,
     parse_cascade,
@@ -138,7 +139,7 @@ class TestEvaluateWindow:
         table = integral_image(img)
         for y in range(7):
             for x in range(7):
-                assert evaluate_window(model, table, table, (x, y, 1.0))
+                assert evaluate_window(model, table, (x, y, 1.0))
 
     def test_constant_image_sigma_clamped_zero_feature(self):
         # zero-sum weights on a constant image -> feature value exactly 0
@@ -152,7 +153,7 @@ class TestEvaluateWindow:
         img = Image(np.full((8, 8), 99, dtype=np.uint8))
         table = integral_image(img)
         # whole-window sum*-1 + half-window sum*2 = 99*(-16+16) = 0 < 0.5 -> left -1 -> fail
-        assert not evaluate_window(model, table, table, (0, 0, 1.0))
+        assert not evaluate_window(model, table, (0, 0, 1.0))
 
     def test_feature_value_matches_brute_force(self):
         rng = rand.generator(51, 0)
@@ -181,9 +182,9 @@ class TestEvaluateWindow:
         # calibrated stump: passes iff value above midpoint of the two cases
         node = TreeNode(rects, threshold=brute - 1e-9, left_val=-1.0, right_val=1.0)
         model = CascadeModel((win, win), [Stage(0.5, [Tree([node])])])
-        assert evaluate_window(model, table, table, (0, 0, 1.0))
+        assert evaluate_window(model, table, (0, 0, 1.0))
         node.threshold = brute + 1e-6
-        assert not evaluate_window(model, table, table, (0, 0, 1.0))
+        assert not evaluate_window(model, table, (0, 0, 1.0))
 
     def test_random_features_match_brute_force(self):
         rng = rand.generator(52, 0)
@@ -205,9 +206,29 @@ class TestEvaluateWindow:
             node = TreeNode(rects, threshold=brute, left_val=0.0, right_val=1.0)
             model = CascadeModel((win, win), [Stage(0.5, [Tree([node])])])
             # value >= own threshold exactly -> right branch -> pass
-            assert evaluate_window(model, table, table, (0, 0, 1.0))
+            assert evaluate_window(model, table, (0, 0, 1.0))
             node.threshold = brute + 1e-6
-            assert not evaluate_window(model, table, table, (0, 0, 1.0))
+            assert not evaluate_window(model, table, (0, 0, 1.0))
+
+
+class TestScaledRects:
+    @pytest.mark.parametrize("size", [(160, 120), (320, 240)])
+    def test_bottom_right_window_at_every_scale(self, size):
+        # every scaled rect ends inside its rounded window, so the
+        # bottom-right window never reads past the integral table
+        fw, fh = size
+        rng = rand.generator(56, 0)
+        table = integral_image(Image(rng.integers(0, 256, size=(fh, fw)).astype(np.uint8)))
+        model = parse_cascade(MINIMAL_XML)
+        rects = model.stages[0].trees[0].nodes[0].rects
+        scale = 1.0
+        while round(20 * scale) <= fh:
+            win = int(round(20 * scale))
+            for r in rects:
+                x, y, w, h = _scaled_rect(r, scale)
+                assert x + w <= win and y + h <= win, (scale, r)
+            evaluate_window(model, table, (fw - win, fh - win, scale))
+            scale *= 1.1
 
 
 def _response_maps(px, rects, win_w, win_h, scale_factor=1.1):
@@ -243,8 +264,8 @@ def _response_maps(px, rects, win_w, win_h, scale_factor=1.1):
         val = np.zeros((oh, ow))
         for r in rects:
             rx, ry = int(round(r.x * scale)), int(round(r.y * scale))
-            rw = max(1, int(round(r.w * scale)))
-            rh = max(1, int(round(r.h * scale)))
+            rw = max(1, int(round((r.x + r.w) * scale)) - rx)
+            rh = max(1, int(round((r.y + r.h) * scale)) - ry)
             val += r.weight * rsum(s, rx, ry, rw, rh, oh, ow)
         maps.append((scale, ww, wh, val / (area * sigma)))
         scale *= scale_factor
@@ -316,8 +337,8 @@ class TestDetectMultiscale:
         one_stage = CascadeModel(model.window, [model.stages[0]])
         for y in range(0, img.height - 24, 7):
             for x in range(0, img.width - 24, 7):
-                if evaluate_window(two_stage, table, table, (x, y, 1.0)):
-                    assert evaluate_window(one_stage, table, table, (x, y, 1.0))
+                if evaluate_window(two_stage, table, (x, y, 1.0)):
+                    assert evaluate_window(one_stage, table, (x, y, 1.0))
 
     def test_deterministic(self):
         img, model = _planted_scene()

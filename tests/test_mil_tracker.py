@@ -16,6 +16,8 @@ from handpose.mil_tracker import (
     track_step,
 )
 
+from helpers import mil_feature_values_oracle
+
 FAST = MILParams(num_features=60, num_selected=12, num_negatives=40)
 FULL = MILParams()
 
@@ -41,6 +43,15 @@ class TestInit:
         assert np.array_equal(a.rect_weight, b.rect_weight)
         assert np.array_equal(a.selected, b.selected)
         assert np.array_equal(a.mu1, b.mu1)
+
+    def test_pool_layout(self):
+        # feature f owns rects feat_start[f]:feat_start[f + 1], 2 to 4 of them
+        frame = textured_frame((30, 30), make_patch())
+        state = init_tracker(frame, (30, 30, 24, 24), FAST, seed=1)
+        counts = np.diff(state.feat_start)
+        assert state.feat_start[0] == 0 and state.feat_start[-1] == len(state.rect_x)
+        assert len(counts) == FAST.num_features
+        assert counts.min() >= 2 and counts.max() <= 4
 
     def test_m_equals_k_selects_all(self):
         params = MILParams(num_features=10, num_selected=10, num_negatives=20)
@@ -135,7 +146,7 @@ class TestFeatureValues:
         for li, (lx, ly) in enumerate(locs):
             for f in feats:
                 direct = 0.0
-                for r in np.flatnonzero(state.feat_of_rect == f):
+                for r in range(state.feat_start[f], state.feat_start[f + 1]):
                     x = lx + state.rect_x[r]
                     y = ly + state.rect_y[r]
                     direct += (
@@ -143,6 +154,25 @@ class TestFeatureValues:
                         * px[y : y + state.rect_h[r], x : x + state.rect_w[r]].sum()
                     )
                 assert abs(vals[li, f] - direct / area) < 1e-6
+
+    def test_bit_exact_against_rect_oracle(self):
+        # the golden session pins confidences to 16 digits, so compare with ==;
+        # state.selected is in pick order, so feats are unsorted here too
+        rng = rand.generator(70, 0)
+        for case in range(12):
+            fw, fh = 48, 40
+            frame = Image(rng.integers(0, 256, size=(fh, fw)).astype(np.uint8))
+            bw, bh = int(rng.integers(4, 17)), int(rng.integers(4, 17))
+            bbox = (int(rng.integers(0, fw - bw + 1)), int(rng.integers(0, fh - bh + 1)), bw, bh)
+            m = int(rng.integers(4, 40))
+            params = MILParams(num_features=m, num_selected=int(rng.integers(1, m + 1)), num_negatives=20)
+            state = init_tracker(frame, bbox, params, seed=case)
+            locs = np.stack([rng.integers(0, fw - bw + 1, 4), rng.integers(0, fh - bh + 1, 4)], axis=1)
+            integral = integral_image(frame)
+            for feats in (rng.permutation(m)[: int(rng.integers(1, m + 1))], state.selected):
+                got = _feature_values(state, integral, locs, feats)
+                want = mil_feature_values_oracle(state, frame.pixels[:, :, 0], locs, feats)
+                assert np.array_equal(got, want), case
 
 
 class TestNoisyOr:
@@ -168,15 +198,13 @@ class TestSelection:
         rng = rand.generator(67, 0)
         pos_llr = rng.normal(size=(9, FAST.num_features))
         neg_llr = rng.normal(size=(30, FAST.num_features)) - 0.5
-        chosen, trace = _select_classifiers(state, pos_llr, neg_llr)
-        assert len(trace) == FAST.num_selected
+        chosen = _select_classifiers(state, pos_llr, neg_llr)
         assert len(set(chosen.tolist())) == FAST.num_selected
         # recompute the single-classifier bag log-likelihoods by hand
         p_pos = 1.0 / (1.0 + np.exp(-pos_llr))
         p_neg = 1.0 / (1.0 + np.exp(-neg_llr))
         ll = np.log(1.0 - np.prod(1.0 - p_pos, axis=0)) + np.log(1.0 - p_neg).sum(axis=0)
         assert chosen[0] == ll.argmax()
-        assert trace[0] == pytest.approx(ll.max(), abs=1e-9)
 
 
 class TestTrackStep:
