@@ -97,11 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit_skin(args):
     rows = []
-    for line in Path(args.pixels).read_text().splitlines():
+    for n, line in enumerate(Path(args.pixels).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        rows.append([int(v) for v in line.split(",")])
+        try:
+            rgb = [int(v) for v in line.split(",")]
+        except ValueError:
+            rgb = []
+        if len(rgb) != 3 or not all(0 <= v <= 255 for v in rgb):
+            raise HandposeError(f"{args.pixels} line {n}: expected r,g,b integers in 0..255, got {line!r}")
+        rows.append(rgb)
     model = skin_segment.fit_skin_model(np.array(rows, dtype=np.uint8), args.alpha)
     Path(args.out).write_text(model.to_text())
     print(f"fitted skin model from {len(rows)} pixels -> {args.out}")

@@ -189,11 +189,10 @@ def rgb_to_ycbcr(img: Image) -> Image:
     if img.channels != 3:
         raise WrongChannelCount(f"need 3 channels, got {img.channels}")
     rgb = img.pixels.astype(np.float64)
-    ycc = rgb @ _YCBCR.T
-    ycc[:, :, 1] += 128.0
-    ycc[:, :, 2] += 128.0
-    rounded = np.where(ycc >= 0, np.floor(ycc + 0.5), np.ceil(ycc - 0.5))
-    return Image(np.clip(rounded, 0, 255).astype(np.uint8))
+    # Y, Cb + 128 and Cr + 128 are >= 0 for every 8-bit RGB triple, so
+    # half away from zero is floor(v + 0.5)
+    ycc = rgb @ _YCBCR.T + (0.0, 128.0, 128.0)
+    return Image(np.clip(np.floor(ycc + 0.5), 0, 255).astype(np.uint8))
 
 
 def luma(img: Image) -> Image:

@@ -121,32 +121,29 @@ def _llr(state: TrackerState, values: np.ndarray, feats: np.ndarray) -> np.ndarr
     )
 
 
-def _disc_offsets(radius: float) -> np.ndarray:
-    """Integer (dy, dx) offsets with dy^2+dx^2 <= r^2, lexicographic order."""
-    r = int(np.floor(radius))
-    dy, dx = np.mgrid[-r : r + 1, -r : r + 1]
-    keep = dy**2 + dx**2 <= radius**2
-    return np.stack([dy[keep], dx[keep]], axis=1)
+def _locations(state: TrackerState, outer: float, inner: float | None = None) -> np.ndarray:
+    """In-frame patch corners (x, y) at integer offsets (dy, dx) from the box
+    with inner^2 < dy^2+dx^2 <= outer^2, in lexicographic (dy, dx) order.
 
-
-def _in_frame(locs: np.ndarray, state: TrackerState) -> np.ndarray:
-    w, h = state.bbox[2], state.bbox[3]
+    The seeded negative draw and track_step's first-max tie rule rely on
+    that order. No inner bound when `inner` is None.
+    """
+    x, y, w, h = state.bbox
     fw, fh = state.frame_size
-    return (
-        (locs[:, 0] >= 0)
-        & (locs[:, 1] >= 0)
-        & (locs[:, 0] + w <= fw)
-        & (locs[:, 1] + h <= fh)
-    )
+    r = int(np.floor(outer))
+    # clip the offset square to the frame; the box itself is always in frame
+    dy, dx = np.mgrid[max(-r, -y) : min(r, fh - h - y) + 1, max(-r, -x) : min(r, fw - w - x) + 1]
+    d2 = dy**2 + dx**2
+    keep = d2 <= outer**2
+    if inner is not None:
+        keep &= d2 > inner**2
+    return np.stack([x + dx[keep], y + dy[keep]], axis=1)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; exp only sees -|x|, so nothing overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _update_gaussians(state: TrackerState, cur_vals, neg_vals, first=False):
@@ -205,28 +202,20 @@ def _select_classifiers(state: TrackerState, pos_llr: np.ndarray, neg_llr: np.nd
 def _mil_update(state: TrackerState, integral: IntegralTable, first=False):
     """Form bags around the current bbox, update Gaussians, re-select K."""
     p = state.params
-    cx, cy = state.bbox[0], state.bbox[1]
-    pos_off = _disc_offsets(p.pos_radius)
-    pos_locs = np.stack([cx + pos_off[:, 1], cy + pos_off[:, 0]], axis=1)
-    pos_locs = pos_locs[_in_frame(pos_locs, state)]
-
-    ann = _disc_offsets(p.neg_outer)
-    d2 = ann[:, 0] ** 2 + ann[:, 1] ** 2
-    ann = ann[d2 > p.neg_inner**2]
-    neg_locs = np.stack([cx + ann[:, 1], cy + ann[:, 0]], axis=1)
-    neg_locs = neg_locs[_in_frame(neg_locs, state)]
+    pos_locs = _locations(state, p.pos_radius)
+    neg_locs = _locations(state, p.neg_outer, p.neg_inner)
     if len(neg_locs) > p.num_negatives:
         pick = np.sort(state.rng.choice(len(neg_locs), p.num_negatives, replace=False))
         neg_locs = neg_locs[pick]
 
+    # one pass over the rows [centre; positive disc; negatives]
+    n = len(pos_locs)
+    locs = np.concatenate([[state.bbox[:2]], pos_locs, neg_locs])
     all_feats = np.arange(p.num_features, dtype=np.intp)
-    pos_vals = _feature_values(state, integral, pos_locs, all_feats)
-    neg_vals = _feature_values(state, integral, neg_locs, all_feats)
-    cur_vals = _feature_values(state, integral, np.array([[cx, cy]]), all_feats)
-    _update_gaussians(state, cur_vals, neg_vals, first)
-    pos_llr = _llr(state, pos_vals, all_feats)
-    neg_llr = _llr(state, neg_vals, all_feats)
-    state.selected = _select_classifiers(state, pos_llr, neg_llr)
+    vals = _feature_values(state, integral, locs, all_feats)
+    _update_gaussians(state, vals[:1], vals[1 + n :], first)
+    llr = _llr(state, vals[1:], all_feats)
+    state.selected = _select_classifiers(state, llr[:n], llr[n:])
 
 
 def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int = 42) -> TrackerState:
@@ -274,13 +263,8 @@ def track_step(state: TrackerState, gray: Image) -> TrackResult:
     """One tracking iteration: move to the best-scoring offset, then learn."""
     if (gray.width, gray.height) != state.frame_size:
         raise PatchOutOfFrame("frame size changed mid-session")
-    p = state.params
     integral = integral_image(gray)
-    x, y = state.bbox[0], state.bbox[1]
-    offs = _disc_offsets(p.search_radius)  # lexicographic (dy, dx)
-    locs = np.stack([x + offs[:, 1], y + offs[:, 0]], axis=1)
-    keep = _in_frame(locs, state)
-    locs = locs[keep]
+    locs = _locations(state, state.params.search_radius)
     vals = _feature_values(state, integral, locs, state.selected)
     scores = _llr(state, vals, state.selected).sum(axis=1)
     best = int(scores.argmax())  # first max: smallest (dy, dx) wins ties

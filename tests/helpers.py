@@ -6,8 +6,8 @@ paths: plain loops, 64-bit accumulation, no shared code.
 
 import numpy as np
 
-from handpose import rand
-from handpose.imaging import Image
+from handpose import mil_tracker, rand
+from handpose.imaging import Image, integral_image
 
 
 # ------------------------------------------------------------- NN oracles
@@ -53,6 +53,22 @@ def max_rel_error(analytic, numeric):
 
 
 # ------------------------------------------------------ imaging oracles
+
+
+def rgb_to_ycbcr_oracle(pixels):
+    """BT.601 full range with both sides of round half away from zero."""
+    m = np.array(
+        [
+            [0.299, 0.587, 0.114],
+            [-0.168736, -0.331264, 0.5],
+            [0.5, -0.418688, -0.081312],
+        ]
+    )
+    ycc = pixels.astype(np.float64) @ m.T
+    ycc[:, :, 1] += 128.0
+    ycc[:, :, 2] += 128.0
+    rounded = np.where(ycc >= 0, np.floor(ycc + 0.5), np.ceil(ycc - 0.5))
+    return np.clip(rounded, 0, 255).astype(np.uint8)
 
 
 def brute_rect_sum(pixels, x, y, w, h):
@@ -111,6 +127,69 @@ def nearest_rank_oracle(samples, q):
     ordered = sorted(samples)
     rank = max(1, int(np.ceil(q * len(ordered))))
     return ordered[rank - 1]
+
+
+# ------------------------------------------------------ tracker oracles
+
+
+def sigmoid_oracle(x):
+    """Sign-split logistic: exp(-x) where x >= 0, exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _disc_locs_oracle(state, radius, inner=None):
+    """Box corner plus every (dy, dx) on the full square, lexicographic,
+    filtered by radius, then by the frame."""
+    r = int(np.floor(radius))
+    dy, dx = np.mgrid[-r : r + 1, -r : r + 1]
+    d2 = dy**2 + dx**2
+    keep = d2 <= radius**2
+    if inner is not None:
+        keep &= d2 > inner**2
+    locs = np.stack([state.bbox[0] + dx[keep], state.bbox[1] + dy[keep]], axis=1)
+    w, h = state.bbox[2], state.bbox[3]
+    fw, fh = state.frame_size
+    inside = (locs[:, 0] >= 0) & (locs[:, 1] >= 0) & (locs[:, 0] + w <= fw) & (locs[:, 1] + h <= fh)
+    return locs[inside]
+
+
+def mil_update_oracle(state, integral, first=False):
+    """The MIL update with one _feature_values call per bag and one for the
+    centre. It reuses the library's per-bag helpers, so it pins the bag
+    locations, their order and how rows reach each helper."""
+    p = state.params
+    cx, cy = state.bbox[0], state.bbox[1]
+    pos_locs = _disc_locs_oracle(state, p.pos_radius)
+    neg_locs = _disc_locs_oracle(state, p.neg_outer, p.neg_inner)
+    if len(neg_locs) > p.num_negatives:
+        pick = np.sort(state.rng.choice(len(neg_locs), p.num_negatives, replace=False))
+        neg_locs = neg_locs[pick]
+    all_feats = np.arange(p.num_features, dtype=np.intp)
+    pos_vals = mil_tracker._feature_values(state, integral, pos_locs, all_feats)
+    neg_vals = mil_tracker._feature_values(state, integral, neg_locs, all_feats)
+    cur_vals = mil_tracker._feature_values(state, integral, np.array([[cx, cy]]), all_feats)
+    mil_tracker._update_gaussians(state, cur_vals, neg_vals, first)
+    pos_llr = mil_tracker._llr(state, pos_vals, all_feats)
+    neg_llr = mil_tracker._llr(state, neg_vals, all_feats)
+    state.selected = mil_tracker._select_classifiers(state, pos_llr, neg_llr)
+
+
+def mil_track_step_oracle(state, gray):
+    """track_step over the filtered search disc, learning with mil_update_oracle."""
+    integral = integral_image(gray)
+    locs = _disc_locs_oracle(state, state.params.search_radius)
+    vals = mil_tracker._feature_values(state, integral, locs, state.selected)
+    scores = mil_tracker._llr(state, vals, state.selected).sum(axis=1)
+    best = int(scores.argmax())
+    state.bbox = (int(locs[best, 0]), int(locs[best, 1]), state.bbox[2], state.bbox[3])
+    confidence = float(scores[best]) / len(state.selected)
+    mil_update_oracle(state, integral)
+    return mil_tracker.TrackResult(state.bbox, confidence)
 
 
 # -------------------------------------------------------- synthetic data

@@ -141,6 +141,16 @@ class TestFitSkinAndSegment:
         assert (mask.height, mask.width, mask.channels) == (48, 48, 1)
         assert set(np.unique(mask.pixels)) <= {0, 255}
 
+    @pytest.mark.parametrize("bad", ["300,0,0", "-1,0,0", "1,2", "1,2,3,4", "a,b,c", "1.5,2,3"])
+    def test_bad_pixel_row_is_one_error_line(self, capsys, tmp_path, bad):
+        csv = tmp_path / "pixels.csv"
+        csv.write_text(f"200,120,90\n{bad}\n\n")
+        assert main(["fit-skin", "--pixels", str(csv), "--out", str(tmp_path / "skin.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 2" in err and "Traceback" not in err
+        assert not (tmp_path / "skin.txt").exists()
+
     def test_segment_no_hand_exits_one(self, capsys, tmp_path):
         model_path = tmp_path / "skin.txt"
         model_path.write_text(flat_skin_model().to_text())

@@ -18,7 +18,7 @@ from handpose.imaging import (
     rgb_to_ycbcr,
     save_pnm,
 )
-from helpers import brute_rect_sum
+from helpers import brute_rect_sum, rgb_to_ycbcr_oracle
 
 
 class TestLoadPnm:
@@ -108,6 +108,15 @@ class TestRgbToYcbcr:
         img = Image(rng.integers(0, 256, size=(32, 32, 3)).astype(np.uint8))
         out = rgb_to_ycbcr(img).pixels
         assert out.min() >= 0 and out.max() <= 255
+
+    def test_all_rgb_triples_match_two_sided_rounding(self):
+        # rgb_to_ycbcr rounds with floor(v + 0.5), which is half away from
+        # zero only while v >= 0: every 8-bit triple must stay on that side
+        for start in range(0, 1 << 24, 1 << 20):
+            code = np.arange(start, start + (1 << 20))
+            px = np.stack([code >> 16, (code >> 8) & 255, code & 255], axis=-1).astype(np.uint8)
+            px = px.reshape(4096, 256, 3)
+            assert np.array_equal(rgb_to_ycbcr(Image(px)).pixels, rgb_to_ycbcr_oracle(px)), start
 
 
 class TestResizeNearest:

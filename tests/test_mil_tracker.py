@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from handpose import rand
+from handpose import mil_tracker, rand
 from handpose.errors import BoxOutOfFrame, DegenerateBox, PatchOutOfFrame
 from handpose.imaging import Image, integral_image
 from handpose.mil_tracker import (
     MILParams,
     TrackResult,
     _feature_values,
+    _locations,
     _select_classifiers,
+    _sigmoid,
     confidence_ok,
     init_tracker,
     mil_score,
@@ -16,7 +18,12 @@ from handpose.mil_tracker import (
     track_step,
 )
 
-from helpers import mil_feature_values_oracle
+from helpers import (
+    mil_feature_values_oracle,
+    mil_track_step_oracle,
+    mil_update_oracle,
+    sigmoid_oracle,
+)
 
 FAST = MILParams(num_features=60, num_selected=12, num_negatives=40)
 FULL = MILParams()
@@ -249,6 +256,88 @@ class TestTrackStep:
             return boxes
 
         assert run() == run()
+
+
+class TestOnePassUpdate:
+    """The update that evaluates all bags in one pass against one that calls
+    _feature_values per bag and again for the centre."""
+
+    LEARNED = ("mu1", "sg1", "mu0", "sg0", "selected")
+
+    def trail(self, monkeypatch, params, bbox, frames, oracle):
+        """(bbox, confidence, learned arrays) after init and after each step."""
+        with monkeypatch.context() as mp:
+            step = track_step
+            if oracle:
+                mp.setattr(mil_tracker, "_mil_update", mil_update_oracle)
+                mp.setattr(mil_tracker, "_sigmoid", sigmoid_oracle)
+                step = mil_track_step_oracle
+            state = init_tracker(frames[0], bbox, params, seed=sum(bbox))
+            out = [(state.bbox, None, [getattr(state, k).copy() for k in self.LEARNED])]
+            for frame in frames[1:]:
+                result = step(state, frame)
+                out.append((result.bbox, result.confidence, [getattr(state, k).copy() for k in self.LEARNED]))
+        return out
+
+    def test_bit_exact_against_per_bag_oracle(self, monkeypatch):
+        fw, fh, bw, bh = 40, 32, 12, 10
+        # boxes on every edge and corner of a small frame clip the positive
+        # disc, the annulus and the search disc
+        cases = [
+            ((x, y, bw, bh), FAST)
+            for x in (0, (fw - bw) // 2, fw - bw)
+            for y in (0, (fh - bh) // 2, fh - bh)
+        ]
+        # 40 in-frame annulus locations at the start, fewer than num_negatives
+        cases.append(((8, 6, 24, 20), FULL))
+        short = init_tracker(Image(np.zeros((fh, fw), dtype=np.uint8)), cases[-1][0], FULL)
+        assert len(_locations(short, FULL.neg_outer, FULL.neg_inner)) == 40 < FULL.num_negatives
+        rng = rand.generator(80, 0)
+        for bbox, params in cases:
+            frames = [Image(rng.integers(0, 256, size=(fh, fw)).astype(np.uint8)) for _ in range(5)]
+            got = self.trail(monkeypatch, params, bbox, frames, oracle=False)
+            want = self.trail(monkeypatch, params, bbox, frames, oracle=True)
+            for (gb, gc, garrs), (wb, wc, warrs) in zip(got, want):
+                assert gb == wb and gc == wc, bbox
+                assert all(np.array_equal(g, w) for g, w in zip(garrs, warrs)), bbox
+
+    def test_locations_order_and_bounds(self):
+        frame = Image(np.zeros((32, 40), dtype=np.uint8))
+        state = init_tracker(frame, (0, 21, 12, 10), FAST, seed=1)
+        x, y = _locations(state, 9.5, 3.0).T
+        # lexicographic (dy, dx), 3 < |d| <= 9.5, patch inside the 40x32 frame
+        want = [
+            (dy, dx)
+            for dy in range(-9, 10)
+            for dx in range(-9, 10)
+            if 9 < dy * dy + dx * dx <= 9.5**2 and 0 <= dx <= 40 - 12 and 0 <= 21 + dy <= 32 - 10
+        ]
+        assert list(zip((y - 21).tolist(), x.tolist())) == want
+
+    def test_one_feature_pass_per_update(self, monkeypatch):
+        frame = textured_frame((40, 40), make_patch(seed=74))
+        calls = []
+        real = mil_tracker._feature_values
+
+        def counted(state, integral, locs, feats):
+            calls.append(len(locs))
+            return real(state, integral, locs, feats)
+
+        monkeypatch.setattr(mil_tracker, "_feature_values", counted)
+        state = init_tracker(frame, (40, 40, 24, 24), FAST, seed=18)
+        assert len(calls) == 1
+        track_step(state, frame)
+        # the search disc first, then [centre; positive disc; negatives]
+        assert len(calls) == 3 and calls[2] == 1 + 49 + FAST.num_negatives
+
+
+class TestSigmoid:
+    def test_equals_sign_split_form(self):
+        edges = np.array([0.0, 1e-300, 30.0, 709.0, 800.0, np.inf])
+        x = np.concatenate([edges, -edges, rand.generator(81, 0).normal(scale=40.0, size=10_000)])
+        with np.errstate(over="raise"):
+            got = _sigmoid(x)
+        assert np.array_equal(got, sigmoid_oracle(x))
 
 
 class TestConfidence:
