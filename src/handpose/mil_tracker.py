@@ -90,23 +90,31 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
     Returns (n_locs, len(feats)) float64, normalized by the patch area.
     Each column sums its feature's weighted rects in pool order from 0.0:
     pass k adds rect k of every feature that has one (features have 2-4).
+    Rect corners are gathered from the flattened table at y * stride + x.
     """
     start = state.feat_start[feats]
     n_rects = state.feat_start[feats + 1] - start
-    lx = locs[:, 0][:, None]
-    ly = locs[:, 1][:, None]
-    s = integral.sum
+    # work on the columns by descending rect count, so pass k adds onto a prefix
+    order = np.argsort(-n_rects, kind="stable")
+    start, n_rects = start[order], n_rects[order]
+    flat = integral.sum.ravel()
+    stride = integral.sum.shape[1]
+    base = (locs[:, 1] * stride + locs[:, 0])[:, None]
     area = state.bbox[2] * state.bbox[3]
-    out = np.zeros((locs.shape[0], len(feats)), dtype=np.float64)
+    acc = np.zeros((locs.shape[0], len(feats)), dtype=np.float64)
     for k in range(4):
-        cols = np.flatnonzero(n_rects > k)
-        r = start[cols] + k
-        x1 = lx + state.rect_x[r]
-        y1 = ly + state.rect_y[r]
-        x2 = x1 + state.rect_w[r]
-        y2 = y1 + state.rect_h[r]
-        rect_sums = (s[y2, x2] - s[y1, x2] - s[y2, x1] + s[y1, x1]).astype(np.float64)
-        out[:, cols] += rect_sums * state.rect_weight[r] / area
+        c = np.count_nonzero(n_rects > k)
+        r = start[:c] + k
+        tl = state.rect_y[r] * stride + state.rect_x[r]
+        tr = tl + state.rect_w[r]
+        bl = tl + state.rect_h[r] * stride
+        br = bl + state.rect_w[r]
+        rect_sums = (
+            flat.take(base + br) - flat.take(base + tr) - flat.take(base + bl) + flat.take(base + tl)
+        ).astype(np.float64)
+        acc[:, :c] += rect_sums * state.rect_weight[r] / area
+    out = np.empty_like(acc)
+    out[:, order] = acc
     return out
 
 
@@ -140,12 +148,6 @@ def _locations(state: TrackerState, outer: float, inner: float | None = None) ->
     return np.stack([x + dx[keep], y + dy[keep]], axis=1)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only sees -|x|, so nothing overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _update_gaussians(state: TrackerState, cur_vals, neg_vals, first=False):
     """Running-average update of the class Gaussians with rate gamma.
 
@@ -153,7 +155,9 @@ def _update_gaussians(state: TrackerState, cur_vals, neg_vals, first=False):
     that on an unchanged frame the score surface peaks exactly there; its
     sigma shrinks toward the floor as the appearance stays consistent. On
     the very first update there is no history to blend with, so the
-    Gaussians are set directly from the sample statistics.
+    Gaussians are set directly from the sample statistics. With no
+    negative location in frame the negative Gaussians keep their previous
+    values (the N(0, 1) prior on the first update).
     """
     g = 0.0 if first else state.params.gamma
     floor = state.params.sigma_floor
@@ -163,40 +167,55 @@ def _update_gaussians(state: TrackerState, cur_vals, neg_vals, first=False):
         return g * mu + (1.0 - g) * vals.mean(axis=0), np.maximum(np.sqrt(var), floor)
 
     state.mu1, state.sg1 = blend(state.mu1, state.sg1, cur_vals)
-    state.mu0, state.sg0 = blend(state.mu0, state.sg0, neg_vals)
+    if len(neg_vals):
+        state.mu0, state.sg0 = blend(state.mu0, state.sg0, neg_vals)
 
 
-def noisy_or(probs: np.ndarray):
-    """Bag positive probability 1 - prod(1 - p_i) over instances (axis 0)."""
-    return 1.0 - np.prod(1.0 - np.asarray(probs, dtype=np.float64), axis=0)
+def _sigmoid_complement(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    """1 - sigmoid(x), bit for bit as 1.0 - where(x >= 0, 1/(1+e), e/(1+e))
+    with e = exp(-|x|). `out` and `scratch` are optional buffers of x's
+    shape, distinct from x.
+
+    The exponent is clamped at -40: for |x| >= 40 both exp(-40) and the
+    true e are below 2**-54, so 1 + e == 1 and 1 - e == 1 in float64 and
+    the result is exactly 0 (x >= 40) or 1 (x <= -40) whatever e is. The
+    clamp keeps exp off its slow underflow path; LLRs reach -6e8.
+    """
+    e = np.abs(x, out=scratch)
+    np.minimum(e, 40.0, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=x >= 0)  # numerator: 1 where x >= 0, e below
+    np.divide(e, out, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
-def _select_classifiers(state: TrackerState, pos_llr: np.ndarray, neg_llr: np.ndarray):
+def _select_classifiers(state: TrackerState, llr: np.ndarray, n_pos: int):
     """Greedy pick of K classifiers maximizing the noisy-OR bag likelihood.
 
-    pos_llr / neg_llr: (n_instances, M) per-classifier LLRs at the bag
-    locations. Returns the chosen indices in pick order.
+    llr: (n_instances, M) per-classifier LLRs at the bag locations, the
+    n_pos positives first, then the negatives. Each round scores every
+    classifier as log P(positive bag) + sum log P(negative instance) with
+    P(positive bag) = 1 - prod(1 - p) over the positives (noisy-OR), where
+    p is the sigmoid of the running strong classifier plus that column.
+    Returns the chosen indices in pick order.
     """
-    m = pos_llr.shape[1]
-    k = state.params.num_selected
-    h_pos = np.zeros(pos_llr.shape[0])
-    h_neg = np.zeros(neg_llr.shape[0])
-    chosen = []
-    remaining = np.ones(m, dtype=bool)
     eps = 1e-12
-    for _ in range(k):
-        p_pos = _sigmoid(h_pos[:, None] + pos_llr)  # (n_pos, M)
-        p_neg = _sigmoid(h_neg[:, None] + neg_llr)
-        ll = np.log(np.clip(noisy_or(p_pos), eps, None)) + np.sum(
-            np.log(np.clip(1.0 - p_neg, eps, None)), axis=0
-        )
-        ll[~remaining] = -np.inf
+    h = np.zeros(llr.shape[0])
+    x, q, scratch = np.empty_like(llr), np.empty_like(llr), np.empty_like(llr)
+    chosen = np.empty(state.params.num_selected, dtype=np.intp)
+    for i in range(len(chosen)):
+        np.add(h[:, None], llr, out=x)
+        _sigmoid_complement(x, out=q, scratch=scratch)  # q = 1 - p
+        ll = np.log(np.clip(1.0 - np.prod(q[:n_pos], axis=0), eps, None))
+        neg = np.maximum(q[n_pos:], eps, out=q[n_pos:])
+        ll += np.sum(np.log(neg, out=neg), axis=0)
+        ll[chosen[:i]] = -np.inf
         best = int(ll.argmax())
-        chosen.append(best)
-        remaining[best] = False
-        h_pos = h_pos + pos_llr[:, best]
-        h_neg = h_neg + neg_llr[:, best]
-    return np.array(chosen, dtype=np.intp)
+        chosen[i] = best
+        h += llr[:, best]
+    return chosen
 
 
 def _mil_update(state: TrackerState, integral: IntegralTable, first=False):
@@ -215,7 +234,7 @@ def _mil_update(state: TrackerState, integral: IntegralTable, first=False):
     vals = _feature_values(state, integral, locs, all_feats)
     _update_gaussians(state, vals[:1], vals[1 + n :], first)
     llr = _llr(state, vals[1:], all_feats)
-    state.selected = _select_classifiers(state, llr[:n], llr[n:])
+    state.selected = _select_classifiers(state, llr, n)
 
 
 def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int = 42) -> TrackerState:

@@ -142,6 +142,35 @@ def sigmoid_oracle(x):
     return out
 
 
+def noisy_or_oracle(probs):
+    """Bag positive probability 1 - prod(1 - p_i) over instances (axis 0)."""
+    return 1.0 - np.prod(1.0 - np.asarray(probs, dtype=np.float64), axis=0)
+
+
+def select_classifiers_oracle(state, pos_llr, neg_llr):
+    """Greedy noisy-OR selection as first written: fresh arrays every round,
+    sigmoid probabilities through sigmoid_oracle, no clamp on the exponent."""
+    m = pos_llr.shape[1]
+    h_pos = np.zeros(pos_llr.shape[0])
+    h_neg = np.zeros(neg_llr.shape[0])
+    chosen = []
+    remaining = np.ones(m, dtype=bool)
+    eps = 1e-12
+    for _ in range(state.params.num_selected):
+        p_pos = sigmoid_oracle(h_pos[:, None] + pos_llr)
+        p_neg = sigmoid_oracle(h_neg[:, None] + neg_llr)
+        ll = np.log(np.clip(noisy_or_oracle(p_pos), eps, None)) + np.sum(
+            np.log(np.clip(1.0 - p_neg, eps, None)), axis=0
+        )
+        ll[~remaining] = -np.inf
+        best = int(ll.argmax())
+        chosen.append(best)
+        remaining[best] = False
+        h_pos = h_pos + pos_llr[:, best]
+        h_neg = h_neg + neg_llr[:, best]
+    return np.array(chosen, dtype=np.intp)
+
+
 def _disc_locs_oracle(state, radius, inner=None):
     """Box corner plus every (dy, dx) on the full square, lexicographic,
     filtered by radius, then by the frame."""
@@ -160,8 +189,9 @@ def _disc_locs_oracle(state, radius, inner=None):
 
 def mil_update_oracle(state, integral, first=False):
     """The MIL update with one _feature_values call per bag and one for the
-    centre. It reuses the library's per-bag helpers, so it pins the bag
-    locations, their order and how rows reach each helper."""
+    centre, selecting with select_classifiers_oracle. It reuses the
+    library's other per-bag helpers, so it pins the bag locations, their
+    order and how rows reach each helper."""
     p = state.params
     cx, cy = state.bbox[0], state.bbox[1]
     pos_locs = _disc_locs_oracle(state, p.pos_radius)
@@ -176,7 +206,7 @@ def mil_update_oracle(state, integral, first=False):
     mil_tracker._update_gaussians(state, cur_vals, neg_vals, first)
     pos_llr = mil_tracker._llr(state, pos_vals, all_feats)
     neg_llr = mil_tracker._llr(state, neg_vals, all_feats)
-    state.selected = mil_tracker._select_classifiers(state, pos_llr, neg_llr)
+    state.selected = select_classifiers_oracle(state, pos_llr, neg_llr)
 
 
 def mil_track_step_oracle(state, gray):

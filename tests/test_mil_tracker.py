@@ -10,11 +10,10 @@ from handpose.mil_tracker import (
     _feature_values,
     _locations,
     _select_classifiers,
-    _sigmoid,
+    _sigmoid_complement,
     confidence_ok,
     init_tracker,
     mil_score,
-    noisy_or,
     track_step,
 )
 
@@ -22,6 +21,8 @@ from helpers import (
     mil_feature_values_oracle,
     mil_track_step_oracle,
     mil_update_oracle,
+    noisy_or_oracle,
+    select_classifiers_oracle,
     sigmoid_oracle,
 )
 
@@ -38,6 +39,34 @@ def textured_frame(px_pos, patch, size=(160, 120), bg=128):
 
 def make_patch(side=24, seed=60):
     return rand.generator(seed, 0).integers(0, 256, size=(side, side)).astype(np.uint8)
+
+
+LEARNED = ("mu1", "sg1", "mu0", "sg0", "selected")
+
+
+def trail(monkeypatch, params, bbox, frames, oracle):
+    """(bbox, confidence, learned arrays) after init and after each step;
+    with `oracle`, every update runs mil_update_oracle and every step
+    mil_track_step_oracle."""
+    with monkeypatch.context() as mp:
+        step = track_step
+        if oracle:
+            mp.setattr(mil_tracker, "_mil_update", mil_update_oracle)
+            step = mil_track_step_oracle
+        state = init_tracker(frames[0], bbox, params, seed=sum(bbox))
+        out = [(state.bbox, None, [getattr(state, k).copy() for k in LEARNED])]
+        for frame in frames[1:]:
+            result = step(state, frame)
+            out.append((result.bbox, result.confidence, [getattr(state, k).copy() for k in LEARNED]))
+    return out
+
+
+def assert_same_trail(monkeypatch, params, bbox, frames):
+    got = trail(monkeypatch, params, bbox, frames, oracle=False)
+    want = trail(monkeypatch, params, bbox, frames, oracle=True)
+    for (gb, gc, garrs), (wb, wc, warrs) in zip(got, want):
+        assert gb == wb and gc == wc, bbox
+        assert all(np.array_equal(g, w) for g, w in zip(garrs, warrs)), bbox
 
 
 class TestInit:
@@ -183,19 +212,21 @@ class TestFeatureValues:
 
 
 class TestNoisyOr:
+    """The bag probability of the selection oracle."""
+
     def test_single_instance(self):
-        assert noisy_or([0.3]) == pytest.approx(0.3)
+        assert noisy_or_oracle([0.3]) == pytest.approx(0.3)
 
     def test_monotone_and_bounded(self):
         rng = rand.generator(65, 0)
         for _ in range(50):
             p = rng.random(5)
-            base = noisy_or(p)
+            base = noisy_or_oracle(p)
             assert 0.0 <= base <= 1.0
             bumped = p.copy()
             i = int(rng.integers(5))
             bumped[i] = min(1.0, bumped[i] + 0.1)
-            assert noisy_or(bumped) >= base
+            assert noisy_or_oracle(bumped) >= base
 
 
 class TestSelection:
@@ -205,13 +236,48 @@ class TestSelection:
         rng = rand.generator(67, 0)
         pos_llr = rng.normal(size=(9, FAST.num_features))
         neg_llr = rng.normal(size=(30, FAST.num_features)) - 0.5
-        chosen = _select_classifiers(state, pos_llr, neg_llr)
+        chosen = _select_classifiers(state, np.concatenate([pos_llr, neg_llr]), len(pos_llr))
         assert len(set(chosen.tolist())) == FAST.num_selected
         # recompute the single-classifier bag log-likelihoods by hand
         p_pos = 1.0 / (1.0 + np.exp(-pos_llr))
         p_neg = 1.0 / (1.0 + np.exp(-neg_llr))
         ll = np.log(1.0 - np.prod(1.0 - p_pos, axis=0)) + np.log(1.0 - p_neg).sum(axis=0)
         assert chosen[0] == ll.argmax()
+
+    @pytest.mark.parametrize("params", [FAST, FULL], ids=["fast", "full"])
+    def test_chosen_bit_exact_against_oracle(self, params):
+        state = init_tracker(textured_frame((30, 30), make_patch(seed=66)), (30, 30, 24, 24), params, seed=19)
+        rng = rand.generator(75, 0)
+        m = params.num_features
+
+        def normal(n, scale=1.0):
+            return rng.normal(scale=scale, size=(n, m))
+
+        half = normal(49)[:, : m // 2]
+        cases = {
+            "normal": (normal(49), normal(65) - 0.5),
+            # the tracker's regime: modest positives, negatives near -6e8
+            "huge negatives": (normal(49, 5.0), -np.abs(normal(65, 1e8))),
+            "+-1e8": (rng.choice([-1e8, 1e8], size=(49, m)), rng.choice([-1e8, 1e8], size=(65, m))),
+            "around the clamp": (normal(49, 40.0), normal(65, 40.0)),
+            "tied columns": (np.concatenate([half, half, normal(49)[:, : m % 2]], axis=1), np.zeros((65, m))),
+            "all zero": (np.zeros((49, m)), np.zeros((65, m))),
+            "zero negatives": (normal(49, 10.0), np.zeros((0, m))),
+            "one positive": (normal(1, 10.0), normal(3, 10.0)),
+        }
+        for name, (pos, neg) in cases.items():
+            got = _select_classifiers(state, np.concatenate([pos, neg]), len(pos))
+            want = select_classifiers_oracle(state, pos, neg)
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("params", [FAST, FULL], ids=["fast", "full"])
+    def test_session_bit_exact_against_oracle(self, monkeypatch, params):
+        # a patch moving over a flat background, then hidden: the floor on
+        # sigma drives the LLRs to -1e7 and below
+        patch = make_patch(seed=76)
+        frames = [textured_frame((20 + 3 * i, 20 + i), patch, size=(96, 72)) for i in range(6)]
+        frames.append(textured_frame((0, 0), np.full((24, 24), 128, dtype=np.uint8), size=(96, 72)))
+        assert_same_trail(monkeypatch, params, (20, 20, 24, 24), frames)
 
 
 class TestTrackStep:
@@ -260,24 +326,8 @@ class TestTrackStep:
 
 class TestOnePassUpdate:
     """The update that evaluates all bags in one pass against one that calls
-    _feature_values per bag and again for the centre."""
-
-    LEARNED = ("mu1", "sg1", "mu0", "sg0", "selected")
-
-    def trail(self, monkeypatch, params, bbox, frames, oracle):
-        """(bbox, confidence, learned arrays) after init and after each step."""
-        with monkeypatch.context() as mp:
-            step = track_step
-            if oracle:
-                mp.setattr(mil_tracker, "_mil_update", mil_update_oracle)
-                mp.setattr(mil_tracker, "_sigmoid", sigmoid_oracle)
-                step = mil_track_step_oracle
-            state = init_tracker(frames[0], bbox, params, seed=sum(bbox))
-            out = [(state.bbox, None, [getattr(state, k).copy() for k in self.LEARNED])]
-            for frame in frames[1:]:
-                result = step(state, frame)
-                out.append((result.bbox, result.confidence, [getattr(state, k).copy() for k in self.LEARNED]))
-        return out
+    _feature_values per bag and again for the centre, and selects with
+    select_classifiers_oracle."""
 
     def test_bit_exact_against_per_bag_oracle(self, monkeypatch):
         fw, fh, bw, bh = 40, 32, 12, 10
@@ -295,11 +345,7 @@ class TestOnePassUpdate:
         rng = rand.generator(80, 0)
         for bbox, params in cases:
             frames = [Image(rng.integers(0, 256, size=(fh, fw)).astype(np.uint8)) for _ in range(5)]
-            got = self.trail(monkeypatch, params, bbox, frames, oracle=False)
-            want = self.trail(monkeypatch, params, bbox, frames, oracle=True)
-            for (gb, gc, garrs), (wb, wc, warrs) in zip(got, want):
-                assert gb == wb and gc == wc, bbox
-                assert all(np.array_equal(g, w) for g, w in zip(garrs, warrs)), bbox
+            assert_same_trail(monkeypatch, params, bbox, frames)
 
     def test_locations_order_and_bounds(self):
         frame = Image(np.zeros((32, 40), dtype=np.uint8))
@@ -336,8 +382,51 @@ class TestSigmoid:
         edges = np.array([0.0, 1e-300, 30.0, 709.0, 800.0, np.inf])
         x = np.concatenate([edges, -edges, rand.generator(81, 0).normal(scale=40.0, size=10_000)])
         with np.errstate(over="raise"):
-            got = _sigmoid(x)
-        assert np.array_equal(got, sigmoid_oracle(x))
+            got = _sigmoid_complement(x)
+        assert np.array_equal(got, 1.0 - sigmoid_oracle(x))
+
+    def test_clamped_exponent_is_exact(self):
+        # exp(-|x|) is clamped at exp(-40); past |x| = 54 ln 2 = 37.4 both it
+        # and the true value are below 2**-54, so neither moves 1 + e or 1 - e
+        centres = np.array([36.0, 37.0, 40.0, 708.0, 745.0])
+        up = down = np.concatenate([centres, -centres])
+        steps = [up]
+        for _ in range(1000):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            steps += [up, down]
+        logs = np.logspace(-300, 300)
+        x = np.concatenate(
+            steps + [np.array([0.0, -0.0, np.inf, -np.inf]), np.linspace(-800, 800, 2_000_001), logs, -logs]
+        )
+        want = (1.0 - sigmoid_oracle(x)).view(np.int64)
+        assert np.array_equal(_sigmoid_complement(x).view(np.int64), want)
+        out, scratch = np.empty_like(x), np.empty_like(x)
+        assert _sigmoid_complement(x, out=out, scratch=scratch) is out
+        assert np.array_equal(out.view(np.int64), want)
+
+
+class TestEmptyAnnulus:
+    """A box so large in its frame that no negative location fits."""
+
+    BBOX = (4, 4, 30, 24)
+
+    def frames(self, n):
+        rng = rand.generator(82, 0)
+        return [Image(rng.integers(0, 256, size=(32, 40)).astype(np.uint8)) for _ in range(n)]
+
+    def test_keeps_prior_and_stays_finite(self):
+        frame = self.frames(1)[0]
+        with np.errstate(all="raise"):
+            state = init_tracker(frame, self.BBOX, FULL, seed=1)
+            assert len(_locations(state, FULL.neg_outer, FULL.neg_inner)) == 0
+            assert np.array_equal(state.mu0, np.zeros(FULL.num_features))
+            assert np.array_equal(state.sg0, np.ones(FULL.num_features))
+            result = track_step(state, frame)
+        assert np.isfinite(state.mu0).all() and np.isfinite(state.sg0).all()
+        assert np.isfinite(result.confidence)
+
+    def test_session_bit_exact_against_oracle(self, monkeypatch):
+        assert_same_trail(monkeypatch, FULL, self.BBOX, self.frames(4))
 
 
 class TestConfidence:
