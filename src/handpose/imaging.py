@@ -94,11 +94,12 @@ class BinaryMask:
 
 
 class IntegralTable:
-    """Summed-area tables (plain and squared) with a zero top row/column."""
+    """Summed-area tables (plain and squared) with a zero top row/column;
+    `sqsum` is None when it was not built."""
 
     __slots__ = ("sum", "sqsum")
 
-    def __init__(self, sum_table: np.ndarray, sqsum_table: np.ndarray):
+    def __init__(self, sum_table: np.ndarray, sqsum_table: np.ndarray | None):
         self.sum = sum_table
         self.sqsum = sqsum_table
 
@@ -220,14 +221,17 @@ def resize_nearest(obj, w: int, h: int):
     return Image(obj.pixels[np.ix_(ys, xs)])
 
 
-def integral_image(gray: Image) -> IntegralTable:
-    """Summed-area tables with 64-bit accumulators."""
+def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
+    """Summed-area tables with 64-bit accumulators; the squared table is
+    None unless `squared` (only the cascade's variance normalization reads it)."""
     if gray.channels != 1:
         raise WrongChannelCount(f"need 1 channel, got {gray.channels}")
     px = gray.pixels[:, :, 0].astype(np.int64)
     h, w = px.shape
     s = np.zeros((h + 1, w + 1), dtype=np.int64)
-    q = np.zeros((h + 1, w + 1), dtype=np.int64)
     s[1:, 1:] = px.cumsum(axis=0).cumsum(axis=1)
-    q[1:, 1:] = (px * px).cumsum(axis=0).cumsum(axis=1)
+    q = None
+    if squared:
+        q = np.zeros((h + 1, w + 1), dtype=np.int64)
+        q[1:, 1:] = (px * px).cumsum(axis=0).cumsum(axis=1)
     return IntegralTable(s, q)

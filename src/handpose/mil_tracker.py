@@ -171,6 +171,10 @@ def _update_gaussians(state: TrackerState, cur_vals, neg_vals, first=False):
         state.mu0, state.sg0 = blend(state.mu0, state.sg0, neg_vals)
 
 
+# from this |x| on, 1 - sigmoid(x) is exactly 0 (x > 0) or 1 (x < 0) in float64
+_SATURATED = 40.0
+
+
 def _sigmoid_complement(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """1 - sigmoid(x), bit for bit as 1.0 - where(x >= 0, 1/(1+e), e/(1+e))
     with e = exp(-|x|). `out` and `scratch` are optional buffers of x's
@@ -182,11 +186,11 @@ def _sigmoid_complement(x: np.ndarray, out: np.ndarray | None = None, scratch: n
     clamp keeps exp off its slow underflow path; LLRs reach -6e8.
     """
     e = np.abs(x, out=scratch)
-    np.minimum(e, 40.0, out=e)
+    np.minimum(e, _SATURATED, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     out = np.add(e, 1.0, out=out)
-    np.copyto(e, 1.0, where=x >= 0)  # numerator: 1 where x >= 0, e below
+    np.putmask(e, x >= 0, 1.0)  # numerator: 1 where x >= 0, e below
     np.divide(e, out, out=out)
     return np.subtract(1.0, out, out=out)
 
@@ -200,17 +204,32 @@ def _select_classifiers(state: TrackerState, llr: np.ndarray, n_pos: int):
     P(positive bag) = 1 - prod(1 - p) over the positives (noisy-OR), where
     p is the sigmoid of the running strong classifier plus that column.
     Returns the chosen indices in pick order.
+
+    Each round works only on the live rows, those with not
+    h + max(llr row) <= -40; the result is bit for bit that of all rows:
+    - rounded addition is monotonic, so fl(h + row max) <= -40 holds
+      exactly when fl(h + llr[r, j]) <= -40 in every column j;
+    - then every q of the row is exactly 1.0 (see _sigmoid_complement),
+      a factor of 1.0 in the product and a term log(1) = +0.0 in the sum;
+    - log never returns -0.0, so dropping +0.0 terms moves no partial sum;
+    - the axis-0 reductions accumulate each column row by row, so the live
+      rows keep their order and every column is kept.
+    A row is tested afresh each round, since a positive llr[:, best] can
+    bring it back; a NaN row fails the test and stays live.
     """
     eps = 1e-12
     h = np.zeros(llr.shape[0])
-    x, q, scratch = np.empty_like(llr), np.empty_like(llr), np.empty_like(llr)
+    row_max = llr.max(axis=1)
+    x_buf, q_buf, scratch_buf = np.empty_like(llr), np.empty_like(llr), np.empty_like(llr)
     chosen = np.empty(state.params.num_selected, dtype=np.intp)
     for i in range(len(chosen)):
-        np.add(h[:, None], llr, out=x)
-        _sigmoid_complement(x, out=q, scratch=scratch)  # q = 1 - p
-        ll = np.log(np.clip(1.0 - np.prod(q[:n_pos], axis=0), eps, None))
-        neg = np.maximum(q[n_pos:], eps, out=q[n_pos:])
-        ll += np.sum(np.log(neg, out=neg), axis=0)
+        live = np.flatnonzero(~(h + row_max <= -_SATURATED))
+        n, live_pos = len(live), int(np.searchsorted(live, n_pos))
+        x, q = np.add(h[live, None], llr[live], out=x_buf[:n]), q_buf[:n]
+        _sigmoid_complement(x, out=q, scratch=scratch_buf[:n])  # q = 1 - p
+        ll = np.log(np.maximum(1.0 - np.multiply.reduce(q[:live_pos], axis=0), eps))
+        neg = np.maximum(q[live_pos:], eps, out=q[live_pos:])
+        ll += np.add.reduce(np.log(neg, out=neg), axis=0)
         ll[chosen[:i]] = -np.inf
         best = int(ll.argmax())
         chosen[i] = best
@@ -263,26 +282,15 @@ def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int =
         selected=np.arange(params.num_selected, dtype=np.intp),
         rng=rand.generator(seed, 11),
     )
-    _mil_update(state, integral_image(gray), first=True)
+    _mil_update(state, integral_image(gray, squared=False), first=True)
     return state
-
-
-def mil_score(state: TrackerState, gray: Image, loc) -> float:
-    """Sum of selected weak classifiers' LLRs for the patch at `loc`."""
-    x, y = loc
-    w, h = state.bbox[2], state.bbox[3]
-    if x < 0 or y < 0 or x + w > gray.width or y + h > gray.height:
-        raise PatchOutOfFrame(f"patch at {loc} outside frame")
-    integral = integral_image(gray)
-    vals = _feature_values(state, integral, np.array([[x, y]]), state.selected)
-    return float(_llr(state, vals, state.selected).sum())
 
 
 def track_step(state: TrackerState, gray: Image) -> TrackResult:
     """One tracking iteration: move to the best-scoring offset, then learn."""
     if (gray.width, gray.height) != state.frame_size:
         raise PatchOutOfFrame("frame size changed mid-session")
-    integral = integral_image(gray)
+    integral = integral_image(gray, squared=False)
     locs = _locations(state, state.params.search_radius)
     vals = _feature_values(state, integral, locs, state.selected)
     scores = _llr(state, vals, state.selected).sum(axis=1)

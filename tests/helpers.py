@@ -7,6 +7,7 @@ paths: plain loops, 64-bit accumulation, no shared code.
 import numpy as np
 
 from handpose import mil_tracker, rand
+from handpose.errors import PatchOutOfFrame
 from handpose.imaging import Image, integral_image
 
 
@@ -207,6 +208,16 @@ def mil_update_oracle(state, integral, first=False):
     pos_llr = mil_tracker._llr(state, pos_vals, all_feats)
     neg_llr = mil_tracker._llr(state, neg_vals, all_feats)
     state.selected = select_classifiers_oracle(state, pos_llr, neg_llr)
+
+
+def mil_score(state, gray, loc):
+    """Sum of the selected weak classifiers' LLRs for the patch at `loc`."""
+    x, y = loc
+    w, h = state.bbox[2], state.bbox[3]
+    if x < 0 or y < 0 or x + w > gray.width or y + h > gray.height:
+        raise PatchOutOfFrame(f"patch at {loc} outside frame")
+    vals = mil_tracker._feature_values(state, integral_image(gray), np.array([[x, y]]), state.selected)
+    return float(mil_tracker._llr(state, vals, state.selected).sum())
 
 
 def mil_track_step_oracle(state, gray):

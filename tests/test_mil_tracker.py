@@ -13,12 +13,12 @@ from handpose.mil_tracker import (
     _sigmoid_complement,
     confidence_ok,
     init_tracker,
-    mil_score,
     track_step,
 )
 
 from helpers import (
     mil_feature_values_oracle,
+    mil_score,
     mil_track_step_oracle,
     mil_update_oracle,
     noisy_or_oracle,
@@ -278,6 +278,104 @@ class TestSelection:
         frames = [textured_frame((20 + 3 * i, 20 + i), patch, size=(96, 72)) for i in range(6)]
         frames.append(textured_frame((0, 0), np.full((24, 24), 128, dtype=np.uint8), size=(96, 72)))
         assert_same_trail(monkeypatch, params, (20, 20, 24, 24), frames)
+
+
+class TestLiveRows:
+    """_select_classifiers skips rows with h + max(llr row) <= -40 in each
+    round. Every case is compared with select_classifiers_oracle (all rows,
+    no clamp) with ==, and the rows each round hands to
+    _sigmoid_complement are counted against the rule replayed on the
+    oracle's picks."""
+
+    PARAMS = MILParams(num_features=60, num_selected=12, num_negatives=40)
+
+    def state(self, params):
+        frame = textured_frame((30, 30), make_patch(seed=66))
+        return init_tracker(frame, (30, 30, 24, 24), params, seed=19)
+
+    def check(self, monkeypatch, pos, neg, params=PARAMS):
+        state = self.state(params)
+        llr = np.concatenate([pos, neg])
+        rows = []
+        real = mil_tracker._sigmoid_complement
+
+        def counted(x, out=None, scratch=None):
+            rows.append(len(x))
+            return real(x, out=out, scratch=scratch)
+
+        with np.errstate(invalid="ignore"), monkeypatch.context() as mp:
+            mp.setattr(mil_tracker, "_sigmoid_complement", counted)
+            got = _select_classifiers(state, llr, len(pos))
+            want = select_classifiers_oracle(state, pos, neg)
+            assert np.array_equal(got, want)
+            h, live = np.zeros(len(llr)), []
+            for best in want:
+                live.append(int(np.count_nonzero(~(h + llr.max(axis=1) <= -40.0))))
+                h += llr[:, best]
+        assert rows == live
+        return live
+
+    def normal(self, n, scale=1.0, seed=0):
+        return rand.generator(90 + seed, 0).normal(scale=scale, size=(n, self.PARAMS.num_features))
+
+    def test_rows_around_the_threshold(self, monkeypatch):
+        # constant rows at -40 and within 1000 ulps of it die in round 1;
+        # rows at -20 and within 1000 ulps reach 2 * v = -40 +- k ulps in round 2
+        for centre, boundary_round in ((-40.0, 0), (-20.0, 1)):
+            up = down = np.array([centre])
+            values = [up]
+            for _ in range(1000):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                values += [up, down]
+            rows = np.repeat(np.concatenate(values)[:, None], self.PARAMS.num_features, axis=1)
+            for pos, neg in ((rows, self.normal(30) - 0.5), (self.normal(20), rows)):
+                live = self.check(monkeypatch, pos, neg)
+                # the 1000 rows above -40 in the boundary round die one round later
+                assert live[boundary_round] - live[boundary_round + 1] == 1000
+
+    def test_dead_row_revives(self, monkeypatch):
+        # the negative row is live in round 1, dead in round 2 (h = -100,
+        # max 55) and live again in round 3 (h = -50), where it turns the
+        # pick from column 2 to column 3
+        params = MILParams(num_features=4, num_selected=3, num_negatives=1)
+        pos = np.array([[10.0, 8.0, 1.0, 0.0]])
+        neg = np.array([[-100.0, 50.0, 55.0, -60.0]])
+        assert self.check(monkeypatch, pos, neg, params) == [2, 1, 2]
+        assert select_classifiers_oracle(self.state(params), pos, neg).tolist() == [0, 1, 3]
+
+    def test_every_row_dead(self, monkeypatch):
+        pos = -40.0 - np.abs(self.normal(20, 1e3))
+        neg = -40.0 - np.abs(self.normal(30, 1e3, seed=1))
+        assert set(self.check(monkeypatch, pos, neg)) == {0}
+
+    def test_no_live_positive_or_no_live_negative(self, monkeypatch):
+        dead = -40.0 - np.abs(self.normal(20, 1e3))
+        self.check(monkeypatch, dead, self.normal(30, 5.0))
+        self.check(monkeypatch, self.normal(30, 5.0), dead)
+
+    def test_nan_and_inf_rows(self, monkeypatch):
+        rng = rand.generator(91, 0)
+        for case in range(6):
+            pos, neg = self.normal(20, 30.0, seed=case), self.normal(30, 30.0, seed=10 + case) - 40.0
+            for block in (pos, neg):
+                for value in (np.nan, np.inf, -np.inf):
+                    r, c = rng.integers(len(block), size=2), rng.integers(block.shape[1], size=2)
+                    block[r, c] = value
+            neg[3] = -np.inf
+            self.check(monkeypatch, pos, neg)
+
+    def test_live_rows_keep_their_order(self, monkeypatch):
+        # every column is a row permutation of the same values, so the bag
+        # likelihoods tie but for rounding, which follows the row order;
+        # dead rows are interleaved with live ones
+        m = self.PARAMS.num_features
+        rng = rand.generator(92, 0)
+        pos, neg = np.full((2, 36, m), -1e3)
+        for block in (pos, neg):
+            base = rng.uniform(-3.0, 3.0, size=24)
+            block[np.arange(36) % 3 != 1] = np.stack([rng.permutation(base) for _ in range(m)], axis=1)
+        self.check(monkeypatch, pos, neg)
+        self.check(monkeypatch, pos, neg, MILParams(num_features=m, num_selected=m))
 
 
 class TestTrackStep:
