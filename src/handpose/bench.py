@@ -25,7 +25,6 @@ class BenchReport:
     warmup: int
     samples_ms: list
     environment: str = field(default_factory=platform.platform)
-    power_w: float | None = None  # operator-supplied, optional
 
     def __post_init__(self):
         if self.iterations != len(self.samples_ms):
@@ -44,8 +43,6 @@ class BenchReport:
             "reference": REFERENCE_NOTE,
         }
         d.update(self.stats())
-        if self.power_w is not None:
-            d["power_w"] = self.power_w
         return d
 
     def to_json(self) -> str:

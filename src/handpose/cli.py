@@ -15,7 +15,6 @@ import numpy as np
 from . import bench, gesture_net, haar_cascade, mil_tracker, pipeline, skin_segment
 from .errors import HandposeError
 from .imaging import load_pnm, luma, save_pnm
-from .tensor_nn import Hyper
 
 
 def _add_seed(p):
@@ -131,7 +130,7 @@ def _load_dataset(args):
 
 
 def _cmd_train(args):
-    hyper = Hyper(
+    hyper = gesture_net.Hyper(
         learning_rate=args.lr,
         momentum=args.momentum,
         batch_size=args.batch_size,

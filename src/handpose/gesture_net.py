@@ -31,7 +31,6 @@ from .tensor_nn import (
     Conv2D,
     Dense,
     Flatten,
-    Hyper,
     MaxPool2x2,
     ReLU,
     sgd_step,
@@ -44,6 +43,11 @@ NUM_CLASSES = 10
 # shapes after each stage: 48 -> 44 -> 22 -> 20 -> 10 -> 1600 -> 120 -> 84 -> 10
 SHAPE_CHAIN = ((6, 44, 44), (6, 22, 22), (16, 20, 20), (16, 10, 10), (1600,), (120,), (84,), (10,))
 PARAM_COUNT = 204_170
+# training: the learning rate is multiplied by LR_DECAY every DECAY_EVERY
+# epochs; evaluation predicts PREDICT_BATCH samples per forward pass
+LR_DECAY = 0.1
+DECAY_EVERY = 15
+PREDICT_BATCH = 256
 
 
 class Network:
@@ -93,21 +97,21 @@ class Network:
             p.b[...] = b
 
 
-def build_network(seed: int, dtype=np.float32) -> Network:
-    """Deterministic construction from a 64-bit seed."""
+def build_network(seed: int) -> Network:
+    """Deterministic float32 construction from a 64-bit seed."""
     layers = [
-        Conv2D(1, 6, 5, seed=rand.derive_seed(seed, 1), dtype=dtype),
+        Conv2D(1, 6, 5, seed=rand.derive_seed(seed, 1)),
         ReLU(),
         MaxPool2x2(),
-        Conv2D(6, 16, 3, seed=rand.derive_seed(seed, 2), dtype=dtype),
+        Conv2D(6, 16, 3, seed=rand.derive_seed(seed, 2)),
         ReLU(),
         MaxPool2x2(),
         Flatten(),
-        Dense(1600, 120, seed=rand.derive_seed(seed, 3), dtype=dtype),
+        Dense(1600, 120, seed=rand.derive_seed(seed, 3)),
         ReLU(),
-        Dense(120, 84, seed=rand.derive_seed(seed, 4), dtype=dtype),
+        Dense(120, 84, seed=rand.derive_seed(seed, 4)),
         ReLU(),
-        Dense(84, 10, seed=rand.derive_seed(seed, 5), dtype=dtype),
+        Dense(84, 10, seed=rand.derive_seed(seed, 5)),
     ]
     net = Network(layers)
     assert net.param_count == PARAM_COUNT
@@ -181,10 +185,25 @@ def load_dataset(root, mode: str = "otsu", threshold: int = 128) -> Dataset:
 
 
 @dataclass
+class Hyper:
+    learning_rate: float = 0.01
+    momentum: float = 0.9
+    batch_size: int = 64
+    epochs: int = 30
+    seed: int = 42
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.batch_size <= 0 or self.epochs <= 0:
+            raise ValueError("batch_size and epochs must be positive")
+
+
+@dataclass
 class TrainReport:
     epochs: list  # (train_loss, train_acc, val_acc) per epoch
-    seed: int
-    hyper: Hyper
     best_val_acc: float
     best_state: list
 
@@ -203,11 +222,12 @@ def stratified_split(y: np.ndarray, split: float, seed: int):
     return np.concatenate(train_idx), np.concatenate(val_idx)
 
 
-def _accuracy(net: Network, x: np.ndarray, y: np.ndarray, batch: int = 256) -> float:
-    hits = 0
-    for i in range(0, len(x), batch):
-        hits += int((net.predict(x[i : i + batch]) == y[i : i + batch]).sum())
-    return hits / len(x)
+def _predict_all(net: Network, x: np.ndarray) -> np.ndarray:
+    """Labels for every sample of x, PREDICT_BATCH samples per forward pass."""
+    pred = np.empty(len(x), dtype=np.int64)
+    for i in range(0, len(x), PREDICT_BATCH):
+        pred[i : i + PREDICT_BATCH] = net.predict(x[i : i + PREDICT_BATCH])
+    return pred
 
 
 def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> TrainReport:
@@ -219,14 +239,16 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
         raise ValueError("split must lie in (0, 1)")
     x, y = data.as_arrays()
     tr, va = stratified_split(y, split, hyper.seed)
+    if len(va) == 0:
+        raise ValueError("validation split is empty: at least one class needs 2 or more images")
     xt, yt, xv, yv = x[tr], y[tr], x[va], y[va]
     epochs_log = []
     best_acc = -1.0
     best_state = net.state()
     lr = hyper.learning_rate
     for epoch in range(hyper.epochs):
-        if epoch > 0 and hyper.decay_every > 0 and epoch % hyper.decay_every == 0:
-            lr *= hyper.lr_decay
+        if epoch > 0 and epoch % DECAY_EVERY == 0:
+            lr *= LR_DECAY
         order = rand.generator(hyper.seed, 1000 + epoch).permutation(len(xt))
         losses = []
         hits = 0
@@ -236,16 +258,16 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
             logits = net.forward(xb)
             loss, grad = softmax_xent_batch(logits, yb)
             net.backward(grad)
-            sgd_step(net.params(), hyper, lr=lr)
+            sgd_step(net.params(), lr, hyper.momentum)
             losses.append(loss)
             hits += int((logits.argmax(axis=-1) == yb).sum())
-        val_acc = _accuracy(net, xv, yv)
+        val_acc = int((_predict_all(net, xv) == yv).sum()) / len(xv)
         epochs_log.append((float(np.mean(losses)), hits / len(xt), val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
             best_state = net.state()
     net.load_state(best_state)
-    return TrainReport(epochs_log, hyper.seed, hyper, best_acc, best_state)
+    return TrainReport(epochs_log, best_acc, best_state)
 
 
 # -------------------------------------------------------------- evaluation
@@ -269,13 +291,10 @@ class ConfusionMatrix:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(net: Network, data: Dataset, batch: int = 256):
+def evaluate(net: Network, data: Dataset):
     x, y = data.as_arrays()
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for i in range(0, len(x), batch):
-        pred = net.predict(x[i : i + batch])
-        for t, p in zip(y[i : i + batch], pred):
-            counts[t, p] += 1
+    np.add.at(counts, (y, _predict_all(net, x)), 1)
     cm = ConfusionMatrix(counts, data.class_names)
     return cm, cm.accuracy
 

@@ -22,6 +22,8 @@ XML grammar (children in any order, unknown elements are errors):
                 <right_val>F</right_val> | <right_node>I</right_node>
               </node>
               (more nodes for depth-2 trees; node 0 is the root)
+              (a child index I is an integer with own index < I < node
+               count, so every path ends at a leaf value)
             </tree>
           </trees>
         </stage>
@@ -31,6 +33,7 @@ XML grammar (children in any order, unknown elements are errors):
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -108,7 +111,17 @@ def _float(elem):
         raise SchemaViolation(f"<{elem.tag}> is not a number") from exc
 
 
-def _parse_node(elem, n_nodes, where):
+def _child_index(elem, own, n_nodes, where) -> int:
+    try:
+        idx = int(elem.text)
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation(f"{where}: child index {elem.text!r} is not an integer") from exc
+    if not own < idx < n_nodes:
+        raise SchemaViolation(f"{where}: child index {idx} not in {own + 1}..{n_nodes - 1}")
+    return idx
+
+
+def _parse_node(elem, own, n_nodes, where):
     _only_children(
         elem,
         {"feature", "node_threshold", "left_val", "left_node", "right_val", "right_node"},
@@ -142,10 +155,7 @@ def _parse_node(elem, n_nodes, where):
         if vals:
             setattr(node, f"{side}_val", _float(vals[0]))
         else:
-            idx = int(_float(children[0]))
-            if not 0 <= idx < n_nodes:
-                raise SchemaViolation(f"{where}: child index {idx} out of range")
-            setattr(node, f"{side}_child", idx)
+            setattr(node, f"{side}_child", _child_index(children[0], own, n_nodes, where))
     return node
 
 
@@ -180,7 +190,7 @@ def parse_cascade(doc: str) -> CascadeModel:
             if not node_els:
                 raise SchemaViolation(f"stage {si} tree {ti}: tree needs at least one node")
             nodes = [
-                _parse_node(n, len(node_els), f"stage {si} tree {ti} node {ni}")
+                _parse_node(n, ni, len(node_els), f"stage {si} tree {ti} node {ni}")
                 for ni, n in enumerate(node_els)
             ]
             for ni, node in enumerate(nodes):
@@ -337,15 +347,18 @@ def detect_multiscale(
 ):
     """Scan all scales window*scale_factor^k that fit the frame; group raw
     hits by >=50% mutual overlap; keep groups with >= min_neighbors hits."""
-    if scale_factor < 1.05:
-        raise ValueError("scale_factor must be >= 1.05")
+    if not 1.05 <= scale_factor < math.inf:
+        raise ValueError("scale_factor must be finite and >= 1.05")
+    if not math.isfinite(step_fraction):
+        raise ValueError("step_fraction must be finite")
     w0, h0 = model.window
     if gray.width < w0 or gray.height < h0:
         raise ImageTooSmall(f"frame {gray.width}x{gray.height} smaller than {w0}x{h0} window")
     integral = integral_image(gray)
     raw = []
     scale = 1.0
-    while True:
+    # the guard stops before rounding a window that overflowed to inf
+    while w0 * scale < gray.width + 1 and h0 * scale < gray.height + 1:
         ww = int(round(w0 * scale))
         wh = int(round(h0 * scale))
         if ww > gray.width or wh > gray.height:

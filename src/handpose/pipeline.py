@@ -31,17 +31,12 @@ class PipelineConfig:
     skin_model: skin_segment.SkinModel
     network: gesture_net.Network
     cascade: haar_cascade.CascadeModel
-    tracker_params: mil_tracker.MILParams = field(default_factory=mil_tracker.MILParams)
     confidence_threshold: float = 0.0
     smoothing_window: int = 5
     # tracked box = square of side size_ratio*min(det_w, det_h), centered
     # horizontally, its center at det_y + vertical_anchor*det_h
     wrist_vertical_anchor: float = 0.8
     wrist_size_ratio: float = 0.6
-    scale_factor: float = 1.1
-    step_fraction: float = 1.0
-    min_neighbors: int = 1
-    extract: skin_segment.ExtractConfig = field(default_factory=skin_segment.ExtractConfig)
     seed: int = 42
 
     @staticmethod
@@ -50,8 +45,6 @@ class PipelineConfig:
             skin = skin_segment.SkinModel.from_text(Path(skin_path).read_text())
             net = gesture_net.load_weights(Path(weights_path).read_bytes())
             cascade = haar_cascade.parse_cascade(Path(cascade_path).read_text())
-        except ConfigLoadError:
-            raise
         except (OSError, ValueError, HandposeError) as exc:
             raise ConfigLoadError(str(exc)) from exc
         return PipelineConfig(skin, net, cascade, **kwargs)
@@ -125,21 +118,13 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
     if state.mode == DETECTING:
         td = time.perf_counter()
         try:
-            detections = haar_cascade.detect_multiscale(
-                cfg.cascade,
-                gray,
-                scale_factor=cfg.scale_factor,
-                step_fraction=cfg.step_fraction,
-                min_neighbors=cfg.min_neighbors,
-            )
+            detections = haar_cascade.detect_multiscale(cfg.cascade, gray)
         except haar_cascade.ImageTooSmall:
             detections = []
         out.timings["detect_ms"] = (time.perf_counter() - td) * 1000.0
         if detections:
             box = wrist_box(detections[0].bbox, cfg, frame.width, frame.height)
-            state.tracker = mil_tracker.init_tracker(
-                gray, box, cfg.tracker_params, seed=cfg.seed
-            )
+            state.tracker = mil_tracker.init_tracker(gray, box, seed=cfg.seed)
             state.mode = TRACKING
             state.label_history = deque(maxlen=cfg.smoothing_window)
     else:
@@ -160,7 +145,7 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
                 bh * 2,
             )
             ts = time.perf_counter()
-            extracted = skin_segment.extract_hand_patch(frame, cfg.skin_model, cfg.extract, roi=roi)
+            extracted = skin_segment.extract_hand_patch(frame, cfg.skin_model, roi=roi)
             out.timings["segment_ms"] = (time.perf_counter() - ts) * 1000.0
             if extracted is not None:
                 patch, comp = extracted

@@ -11,7 +11,11 @@ from .errors import EmptyInput, WrongChannelCount
 from .imaging import BinaryMask, Image, resize_nearest, rgb_to_ycbcr
 
 CHANNEL_NAMES = ("R", "G", "B", "Y", "Cb", "Cr")
-BOX_SE = np.ones((3, 3), dtype=bool)
+# extraction: 3x3-box opening then closing, each this many iterations, and
+# the crop padded by this fraction of the blob's longer side on each side
+OPEN_ITERS = 2
+CLOSE_ITERS = 2
+PAD_FRACTION = 0.15
 
 
 @dataclass
@@ -47,7 +51,14 @@ class SkinModel:
         for i, name in enumerate(CHANNEL_NAMES):
             if tokens[3 * i] != name:
                 raise ValueError(f"expected channel {name}, got {tokens[3 * i]}")
-            intervals[i] = (int(tokens[3 * i + 1]), int(tokens[3 * i + 2]))
+            for j, tok in enumerate(tokens[3 * i + 1 : 3 * i + 3]):
+                try:
+                    bound = int(tok)
+                except ValueError:
+                    bound = -1
+                if not 0 <= bound <= 255:
+                    raise ValueError(f"channel {name} bound {tok!r} is not an integer in 0..255")
+                intervals[i, j] = bound
         if tokens[18] != "alpha":
             raise ValueError("missing alpha line")
         return SkinModel(intervals, float(tokens[19]))
@@ -101,62 +112,56 @@ def classify_pixels(img: Image, model: SkinModel) -> BinaryMask:
 # -------------------------------------------------------------- morphology
 
 
-def _pad_apply(bits: np.ndarray, se: np.ndarray, pad_value: bool, combine) -> np.ndarray:
-    sh, sw = se.shape
-    cy, cx = sh // 2, sw // 2
-    padded = np.pad(bits, ((cy, sh - 1 - cy), (cx, sw - 1 - cx)), constant_values=pad_value)
+def _pad_apply(bits: np.ndarray, combine) -> np.ndarray:
+    """Combine the nine 3x3-box shifts of `bits`; outside counts as background."""
+    padded = np.pad(bits, 1, constant_values=False)
     h, w = bits.shape
-    out = None
-    for dy in range(sh):
-        for dx in range(sw):
-            if not se[dy, dx]:
-                continue
-            shifted = padded[dy : dy + h, dx : dx + w]
-            out = shifted.copy() if out is None else combine(out, shifted)
-    return bits.copy() if out is None else out
+    out = padded[0:h, 0:w].copy()
+    for dy in range(3):
+        for dx in range(3):
+            if dy or dx:
+                out = combine(out, padded[dy : dy + h, dx : dx + w])
+    return out
 
 
-def erode(mask: BinaryMask, se: np.ndarray = BOX_SE, iters: int = 1) -> BinaryMask:
-    """Minkowski erosion; outside the frame counts as background."""
+def erode(mask: BinaryMask, iters: int = 1) -> BinaryMask:
+    """Minkowski erosion by the 3x3 box; outside the frame counts as background."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
     bits = mask.bits
     for _ in range(iters):
-        bits = _pad_apply(bits, se, False, np.logical_and)
+        bits = _pad_apply(bits, np.logical_and)
     return BinaryMask(bits)
 
 
-def dilate(mask: BinaryMask, se: np.ndarray = BOX_SE, iters: int = 1) -> BinaryMask:
-    """Minkowski dilation; outside the frame counts as background."""
+def dilate(mask: BinaryMask, iters: int = 1) -> BinaryMask:
+    """Minkowski dilation by the 3x3 box; outside the frame counts as background."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
     bits = mask.bits
     for _ in range(iters):
-        bits = _pad_apply(bits, se, False, np.logical_or)
+        bits = _pad_apply(bits, np.logical_or)
     return BinaryMask(bits)
 
 
-def open_mask(mask: BinaryMask, se: np.ndarray = BOX_SE, iters: int = 1) -> BinaryMask:
+def open_mask(mask: BinaryMask, iters: int = 1) -> BinaryMask:
     """Erosion then dilation, `iters` times each; removes small specks."""
-    return dilate(erode(mask, se, iters), se, iters)
+    return dilate(erode(mask, iters), iters)
 
 
-def close_mask(mask: BinaryMask, se: np.ndarray = BOX_SE, iters: int = 1) -> BinaryMask:
+def close_mask(mask: BinaryMask, iters: int = 1) -> BinaryMask:
     """Dilation then erosion, `iters` times each; fills small holes."""
-    return erode(dilate(mask, se, iters), se, iters)
+    return erode(dilate(mask, iters), iters)
 
 
 # ---------------------------------------------------------- components
 
 
-def label_components(mask: BinaryMask, connectivity: int = 8):
-    """Row-major scan flood fill; labels assigned in first-seen order."""
-    if connectivity == 4:
-        offsets = ((-1, 0), (1, 0), (0, -1), (0, 1))
-    elif connectivity == 8:
-        offsets = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0))
-    else:
-        raise ValueError("connectivity must be 4 or 8")
+_NEIGHBORS_8 = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0))
+
+
+def label_components(mask: BinaryMask):
+    """8-connected row-major scan flood fill; labels assigned in first-seen order."""
     bits = mask.bits
     h, w = bits.shape
     labels = np.zeros((h, w), dtype=np.int32)
@@ -173,7 +178,7 @@ def label_components(mask: BinaryMask, connectivity: int = 8):
             while stack:
                 cy, cx = stack.pop()
                 pts.append((cy, cx))
-                for dy, dx in offsets:
+                for dy, dx in _NEIGHBORS_8:
                     ny, nx = cy + dy, cx + dx
                     if 0 <= ny < h and 0 <= nx < w and bits[ny, nx] and not labels[ny, nx]:
                         labels[ny, nx] = next_label
@@ -185,34 +190,21 @@ def label_components(mask: BinaryMask, connectivity: int = 8):
     return labels, infos
 
 
-def largest_component(mask: BinaryMask, connectivity: int = 8) -> ComponentInfo | None:
+def largest_component(mask: BinaryMask) -> ComponentInfo | None:
     """Maximum-area component; ties go to the earlier label in scan order."""
-    _, infos = label_components(mask, connectivity)
-    if not infos:
-        return None
-    best = infos[0]
-    for info in infos[1:]:
-        if info.area > best.area:
-            best = info
-    return best
+    _, infos = label_components(mask)
+    return max(infos, key=lambda info: info.area, default=None)
 
 
 # ------------------------------------------------------------- extraction
 
 
-@dataclass
-class ExtractConfig:
-    open_iters: int = 2
-    close_iters: int = 2
-    pad_fraction: float = 0.15
-
-
-def square_crop_box(bbox, pad_fraction, frame_w, frame_h):
-    """Expand a bbox by pad_fraction, square it to 1:1, clamp to the frame."""
+def square_crop_box(bbox, frame_w, frame_h):
+    """Expand a bbox by PAD_FRACTION, square it to 1:1, clamp to the frame."""
     x, y, w, h = bbox
     cx = x + w / 2.0
     cy = y + h / 2.0
-    side = max(w, h) * (1.0 + 2.0 * pad_fraction)
+    side = max(w, h) * (1.0 + 2.0 * PAD_FRACTION)
     side = min(side, frame_w, frame_h)
     side = max(int(round(side)), 1)
     x0 = int(round(cx - side / 2.0))
@@ -222,7 +214,7 @@ def square_crop_box(bbox, pad_fraction, frame_w, frame_h):
     return x0, y0, side, side
 
 
-def extract_hand_patch(img: Image, model: SkinModel, cfg: ExtractConfig = ExtractConfig(), roi=None):
+def extract_hand_patch(img: Image, model: SkinModel, roi=None):
     """Segment, clean up with open/close, pick the largest blob and return
     its padded square crop resized to a 48x48 mask.
 
@@ -240,12 +232,12 @@ def extract_hand_patch(img: Image, model: SkinModel, cfg: ExtractConfig = Extrac
         ox, oy = x, y
         img = sub
     mask = classify_pixels(img, model)
-    mask = open_mask(mask, BOX_SE, cfg.open_iters)
-    mask = close_mask(mask, BOX_SE, cfg.close_iters)
-    comp = largest_component(mask, connectivity=8)
+    mask = open_mask(mask, OPEN_ITERS)
+    mask = close_mask(mask, CLOSE_ITERS)
+    comp = largest_component(mask)
     if comp is None:
         return None
-    x0, y0, side, _ = square_crop_box(comp.bbox, cfg.pad_fraction, img.width, img.height)
+    x0, y0, side, _ = square_crop_box(comp.bbox, img.width, img.height)
     crop = BinaryMask(mask.bits[y0 : y0 + side, x0 : x0 + side])
     patch = resize_nearest(crop, 48, 48)
     bx, by, bw, bh = comp.bbox

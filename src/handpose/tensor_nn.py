@@ -9,31 +9,10 @@ expected to hold batch means by the time sgd_step runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rand
 from .errors import LabelOutOfRange, OddDimension, ShapeMismatch
-
-
-@dataclass
-class Hyper:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs: int = 30
-    seed: int = 42
-    lr_decay: float = 0.1
-    decay_every: int = 15
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("batch_size and epochs must be positive")
 
 
 def _glorot_uniform(shape, fan_in, fan_out, seed, dtype):
@@ -272,13 +251,11 @@ def softmax_xent_batch(logits: np.ndarray, labels: np.ndarray):
     return loss, (grad / n).astype(logits.dtype)
 
 
-def sgd_step(params, hyper: Hyper, lr: float | None = None):
+def sgd_step(params, lr: float, momentum: float):
     """Momentum update v <- m*v - lr*g; w <- w + v; grads zeroed afterwards."""
-    lr = hyper.learning_rate if lr is None else lr
-    m = hyper.momentum
     for p in params:
-        p.vw = m * p.vw - lr * p.gw
-        p.vb = m * p.vb - lr * p.gb
+        p.vw = momentum * p.vw - lr * p.gw
+        p.vb = momentum * p.vb - lr * p.gb
         p.w += p.vw
         p.b += p.vb
         p.zero_grad()

@@ -96,12 +96,9 @@ def mil_feature_values_oracle(state, pixels, locs, feats):
     return out
 
 
-def flood_fill_components(bits, connectivity=8):
-    """Independent BFS labeling; returns list of sets of (y, x) points."""
-    if connectivity == 4:
-        offs = ((-1, 0), (1, 0), (0, -1), (0, 1))
-    else:
-        offs = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0))
+def flood_fill_components(bits):
+    """Independent 8-connected BFS labeling; returns list of sets of (y, x) points."""
+    offs = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0))
     h, w = bits.shape
     seen = np.zeros_like(bits, dtype=bool)
     comps = []

@@ -8,7 +8,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from handpose import bench, gesture_net, skin_segment
 from handpose.cli import main
-from handpose.haar_cascade import serialize_cascade
+from handpose.haar_cascade import TreeNode, serialize_cascade
 from handpose.imaging import Image, load_pnm, save_pnm
 
 from helpers import BG_COLOR, SKIN_BASE, nearest_rank_oracle
@@ -103,6 +103,84 @@ class TestExitCodes:
         code = main(["classify", "--image", str(img), "--weights", str(zero_weights)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _detect_args(model, *flags):
+    def args(tmp_path):
+        frame = tmp_path / "frame.pgm"
+        frame.write_bytes(save_pnm(Image(np.full((30, 34), 200, dtype=np.uint8))))
+        cascade = tmp_path / "cascade.xml"
+        cascade.write_text(serialize_cascade(model))
+        return ["detect", "--image", str(frame), "--cascade", str(cascade), *flags]
+
+    return args
+
+
+def _stray_child_cascade(child):
+    """The brightness cascade plus a second node, which the root never
+    routes to, that names child `child`."""
+    model = brightness_cascade()
+    root = model.stages[0].trees[0].nodes[0]
+    model.stages[0].trees[0].nodes.append(TreeNode(root.rects, 0.0, left_child=child, right_val=1.0))
+    return model
+
+
+def _skin_bound_args(bound):
+    def args(tmp_path):
+        lines = flat_skin_model().to_text().splitlines()
+        name, lo, _ = lines[1].split()
+        lines[1] = f"{name} {lo} {bound}"
+        model = tmp_path / "skin.txt"
+        model.write_text("\n".join(lines) + "\n")
+        frame = tmp_path / "frame.ppm"
+        frame.write_bytes(save_pnm(scene((50, 40))))
+        return ["segment", "--image", str(frame), "--model", str(model), "--out", str(tmp_path / "o.pgm")]
+
+    return args
+
+
+def _one_image_per_class_args(tmp_path):
+    root = tmp_path / "data"
+    for label in range(2):
+        sub = root / str(label)
+        sub.mkdir(parents=True)
+        bits = np.zeros((48, 48, 1), dtype=np.uint8)
+        bits[:, : 24 * label + 12] = 255
+        sub.joinpath("a.pgm").write_bytes(save_pnm(Image(bits)))
+    return ["train", "--data", str(root), "--out", str(tmp_path / "w.hgw"), "--epochs", "1"]
+
+
+BAD_INPUTS = {
+    "child-inf": (_detect_args(_stray_child_cascade("inf")), "child index"),
+    "child-1.5": (_detect_args(_stray_child_cascade("1.5")), "child index"),
+    "child--0.5": (_detect_args(_stray_child_cascade("-0.5")), "child index"),
+    "child-back-to-root": (_detect_args(_stray_child_cascade(0)), "child index"),
+    "scale-factor-inf": (_detect_args(brightness_cascade(), "--scale-factor", "inf"), "scale_factor"),
+    "scale-factor-nan": (_detect_args(brightness_cascade(), "--scale-factor", "nan"), "scale_factor"),
+    "step-fraction-inf": (_detect_args(brightness_cascade(), "--step-fraction", "inf"), "step_fraction"),
+    "skin-bound-overflow": (_skin_bound_args("99999999999999999999"), "channel G"),
+    "skin-bound-256": (_skin_bound_args("256"), "channel G"),
+    "skin-bound-1e3": (_skin_bound_args("1e3"), "channel G"),
+    "one-image-per-class": (_one_image_per_class_args, "validation split is empty"),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", BAD_INPUTS, ids=list(BAD_INPUTS))
+    def test_one_error_line(self, capsys, tmp_path, case):
+        build_args, expect = BAD_INPUTS[case]
+        assert main(build_args(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert expect in err and "Traceback" not in err
+
+    def test_huge_finite_scale_factor_scans_scale_one(self, capsys, tmp_path):
+        argv = _detect_args(brightness_cascade(), "--scale-factor", "1e308")(tmp_path)
+        assert main(argv) == 0
+        one_scale = capsys.readouterr().out
+        # at 1.5 the second scale (36 px) already exceeds the 34x30 frame
+        assert main(argv[:-1] + ["1.5"]) == 0
+        assert capsys.readouterr().out == one_scale
 
 
 class TestClassify:

@@ -16,6 +16,7 @@ from handpose.gesture_net import (
     PARAM_COUNT,
     ConfusionMatrix,
     Dataset,
+    Hyper,
     Network,
     binarize,
     build_network,
@@ -28,7 +29,7 @@ from handpose.gesture_net import (
     train,
 )
 from handpose.imaging import BinaryMask, Image, save_pnm
-from handpose.tensor_nn import Hyper, softmax
+from handpose.tensor_nn import softmax
 
 
 def zero_network() -> Network:

@@ -125,6 +125,92 @@ class TestParse:
             parse_cascade(doc)
 
 
+def _depth_two_tree(rng, win):
+    """Root splits to two stumps; leaves -2, -1 (left) and 1, 2 (right)
+    tell the four routes apart. Integer weights and zero thresholds make
+    each split the exact sign of an integer pixel-sum difference."""
+
+    def node(**branches):
+        # two equal-size rects, so the split is a coin flip on random pixels
+        w, h = int(rng.integers(1, win + 1)), int(rng.integers(1, win + 1))
+        rects = [
+            WeightedRect(int(rng.integers(0, win - w + 1)), int(rng.integers(0, win - h + 1)), w, h, wt)
+            for wt in (-1.0, 1.0)
+        ]
+        return TreeNode(rects, threshold=0.0, **branches)
+
+    return Tree(
+        [
+            node(left_child=1, right_child=2),
+            node(left_val=-2.0, right_val=-1.0),
+            node(left_val=1.0, right_val=2.0),
+        ]
+    )
+
+
+def _brute_tree_value(tree, px, x, y, scale):
+    """Walk the tree on raw pixel sums; `scale` is an integer here, so
+    every rect scales exactly."""
+    idx = 0
+    while True:
+        node = tree.nodes[idx]
+        f = 0
+        for r in node.rects:
+            x0, y0 = x + r.x * scale, y + r.y * scale
+            f += int(r.weight) * int(px[y0 : y0 + r.h * scale, x0 : x0 + r.w * scale].sum())
+        side = "left" if f < 0 else "right"
+        val = getattr(node, f"{side}_val")
+        if val is not None:
+            return val
+        idx = getattr(node, f"{side}_child")
+
+
+class TestDepthTwoTrees:
+    def test_round_trip(self):
+        tree = _depth_two_tree(rand.generator(57, 0), 8)
+        model = CascadeModel((8, 8), [Stage(0.5, [tree, tree])])
+        doc = serialize_cascade(model)
+        assert "<left_node>1</left_node>" in doc and "<right_node>2</right_node>" in doc
+        parsed = parse_cascade(doc)
+        assert parsed == model
+        assert serialize_cascade(parsed) == doc
+
+    def test_routing_matches_brute_force(self):
+        rng = rand.generator(58, 0)
+        win = 8
+        reached = set()
+        for _ in range(6):
+            tree = _depth_two_tree(rng, win)
+            px = rng.integers(0, 256, size=(20, 22)).astype(np.uint8)
+            table = integral_image(Image(px))
+            for scale in (1, 2):
+                side = win * scale
+                for y in range(0, px.shape[0] - side + 1, 3):
+                    for x in range(0, px.shape[1] - side + 1, 3):
+                        want = _brute_tree_value(tree, px, x, y, scale)
+                        reached.add(want)
+                        # the stage passes iff the leaf value reaches its
+                        # threshold; these three thresholds pin the leaf
+                        for thr in (-1.5, -0.5, 1.5):
+                            model = CascadeModel((win, win), [Stage(thr, [tree])])
+                            got = evaluate_window(model, table, (x, y, float(scale)))
+                            assert got == (want >= thr), (x, y, scale, thr)
+        assert reached == {-2.0, -1.0, 1.0, 2.0}
+
+    @pytest.mark.parametrize(
+        "node, child",
+        [(0, "0"), (1, "1"), (2, "1"), (1, "3"), (1, "1.5"), (1, "-0.5"), (1, "inf"), (1, "2.0"), (1, "")],
+        ids=["root-self", "self", "backward", "past-end", "1.5", "-0.5", "inf", "2.0", "empty"],
+    )
+    def test_child_index_must_point_forward(self, node, child):
+        tree = _depth_two_tree(rand.generator(59, 0), 8)
+        tree.nodes[node].left_val, tree.nodes[node].left_child = None, "CHILD"
+        doc = serialize_cascade(CascadeModel((8, 8), [Stage(0.5, [tree])]))
+        doc = doc.replace("<left_node>CHILD</left_node>", f"<left_node>{child}</left_node>")
+        with pytest.raises(SchemaViolation, match=f"node {node}: child index"):
+            parse_cascade(doc)
+
+
 class TestEvaluateWindow:
     def test_pass_everything_threshold(self):
         node = TreeNode(

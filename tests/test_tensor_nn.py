@@ -7,7 +7,6 @@ from handpose.tensor_nn import (
     Conv2D,
     Dense,
     Flatten,
-    Hyper,
     MaxPool2x2,
     ReLU,
     sgd_step,
@@ -246,14 +245,14 @@ class TestSgdStep:
     def test_zero_grad_no_change(self):
         dense = Dense(3, 2, seed=7, dtype=np.float64)
         w0 = dense.w.copy()
-        sgd_step([dense], Hyper(learning_rate=0.1, momentum=0.0))
+        sgd_step([dense], 0.1, 0.0)
         assert np.array_equal(dense.w, w0)
 
     def test_plain_sgd_without_momentum(self):
         dense = Dense(2, 2, seed=8, dtype=np.float64)
         w0 = dense.w.copy()
         dense.gw[...] = 1.0
-        sgd_step([dense], Hyper(learning_rate=0.25, momentum=0.0))
+        sgd_step([dense], 0.25, 0.0)
         assert np.allclose(dense.w, w0 - 0.25)
         assert np.all(dense.gw == 0)  # grads zeroed after step
 
@@ -261,10 +260,9 @@ class TestSgdStep:
         # v1 = -lr*g; v2 = 0.9*v1 - lr*g; total = -lr*g*(1 + 1.9)
         dense = Dense(2, 2, seed=9, dtype=np.float64)
         w0 = dense.w.copy()
-        hyper = Hyper(learning_rate=0.1, momentum=0.9)
         for _ in range(2):
             dense.gw[...] = 1.0
-            sgd_step([dense], hyper)
+            sgd_step([dense], 0.1, 0.9)
         assert np.allclose(dense.w, w0 - 0.1 * (1.0 + 1.9))
 
 
