@@ -176,31 +176,79 @@ def save_pnm(img: Image) -> bytes:
     return header + img.pixels.tobytes()
 
 
-_YCBCR = np.array(
-    [
-        [0.299, 0.587, 0.114],
-        [-0.168736, -0.331264, 0.5],
-        [0.5, -0.418688, -0.081312],
-    ]
-)
+# BT.601 full range in exact integer arithmetic, equal on every 8-bit triple
+# to the float64 matmul with floor(v + 0.5) rounding that the recorded
+# sessions were made with. That matmul rounds some exact Y ties
+# (299R + 587G + 114B = 1000k + 500) down; _Y_LOW_TIES lists them.
+
+
+def _y_low_ties() -> np.ndarray:
+    """Sorted packed keys (R << 16 | G << 8 | B) of the exact Y ties where the
+    float64 conversion rounds down. A tie needs 114B = 500 - 299R - 587G
+    (mod 1000): 57 is invertible mod 500, so each (R, G) has at most one B.
+    Built 32 values of R at a time, so no transient array reaches 128 KB."""
+    ycbcr = np.array(
+        [
+            [0.299, 0.587, 0.114],
+            [-0.168736, -0.331264, 0.5],
+            [0.5, -0.418688, -0.081312],
+        ]
+    )
+    keys = []
+    for r0 in range(0, 256, 32):
+        rg = np.arange(r0 << 8, (r0 + 32) << 8)
+        r, g = rg >> 8, rg & 255
+        rhs = (500 - 299 * r - 587 * g) % 1000
+        b = (rhs // 2) * pow(57, -1, 500) % 500
+        tie = (rhs % 2 == 0) & (b < 256)
+        r, g, b = r[tie], g[tie], b[tie]
+        y_float = np.floor((np.stack([r, g, b], axis=-1).astype(np.float64) @ ycbcr.T)[:, 0] + 0.5)
+        low = y_float < (299 * r + 587 * g + 114 * b + 500) // 1000
+        keys.append(((r << 16) | (g << 8) | b)[low])
+    return np.concatenate(keys).astype(np.int32)
+
+
+_Y_LOW_TIES = _y_low_ties()
+
+
+def _planes(img: Image):
+    """R, G and B of an RGB image as int32 planes."""
+    px = img.pixels
+    return px[:, :, 0].astype(np.int32), px[:, :, 1].astype(np.int32), px[:, :, 2].astype(np.int32)
+
+
+def _luma_plane(r, g, b) -> np.ndarray:
+    """Y = (299R + 587G + 114B + 500) // 1000 over int32 planes, one less
+    at the ties in _Y_LOW_TIES."""
+    num = 299 * r + 587 * g + 114 * b + 500
+    y = num // 1000
+    ty, tx = np.nonzero(y * 1000 == num)
+    if ty.size:
+        keys = (r[ty, tx] << 16) | (g[ty, tx] << 8) | b[ty, tx]
+        at = np.minimum(np.searchsorted(_Y_LOW_TIES, keys), len(_Y_LOW_TIES) - 1)
+        low = _Y_LOW_TIES[at] == keys
+        y[ty[low], tx[low]] -= 1
+    return y.astype(np.uint8)
 
 
 def rgb_to_ycbcr(img: Image) -> Image:
     """BT.601 full-range conversion, rounding half away from zero."""
     if img.channels != 3:
         raise WrongChannelCount(f"need 3 channels, got {img.channels}")
-    rgb = img.pixels.astype(np.float64)
-    # Y, Cb + 128 and Cr + 128 are >= 0 for every 8-bit RGB triple, so
-    # half away from zero is floor(v + 0.5)
-    ycc = rgb @ _YCBCR.T + (0.0, 128.0, 128.0)
-    return Image(np.clip(np.floor(ycc + 0.5), 0, 255).astype(np.uint8))
+    r, g, b = _planes(img)
+    out = np.empty(img.pixels.shape, dtype=np.uint8)
+    out[:, :, 0] = _luma_plane(r, g, b)
+    # Cb + 128 and Cr + 128 rounded half up; both lie in 1..256 for every triple
+    out[:, :, 1] = np.minimum((-168736 * r - 331264 * g + 500000 * b + 128_500_000) // 1_000_000, 255)
+    out[:, :, 2] = np.minimum((500000 * r - 418688 * g - 81312 * b + 128_500_000) // 1_000_000, 255)
+    return Image(out)
 
 
 def luma(img: Image) -> Image:
-    """Grayscale view: channel 0 of the BT.601 conversion (identity on gray)."""
+    """Grayscale view: Y of the BT.601 conversion (identity on gray)."""
     if img.channels == 1:
         return img
-    return Image(rgb_to_ycbcr(img).pixels[:, :, 0])
+    return Image(_luma_plane(*_planes(img)))
 
 
 def _nearest_indices(dst: int, src: int) -> np.ndarray:

@@ -4,8 +4,9 @@ segment the tracked region, classify the 48x48 mask, smooth labels.
 The state machine has exactly two modes. DETECTING runs the cascade on
 the luma frame and, on a hit, derives the tracked wrist box and starts
 the tracker. TRACKING advances the tracker, drops back to DETECTING when
-confidence falls below the configured threshold, and otherwise segments
-around the tracked box and classifies.
+confidence falls below the configured threshold or the frame cannot be
+tracked or segmented (its size changed, or it is gray), and otherwise
+segments around the tracked box and classifies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gesture_net, haar_cascade, mil_tracker, skin_segment
-from .errors import ConfigLoadError, EmptyHistory, HandposeError
+from .errors import ConfigLoadError, EmptyHistory, HandposeError, PatchOutOfFrame
 from .imaging import Image, load_pnm, luma
 
 DETECTING = "DETECTING"
@@ -129,9 +130,18 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
             state.label_history = deque(maxlen=cfg.smoothing_window)
     else:
         tt = time.perf_counter()
-        result = mil_tracker.track_step(state.tracker, gray)
+        try:
+            result = mil_tracker.track_step(state.tracker, gray)
+        except PatchOutOfFrame:  # the frame size changed mid-track
+            result = None
         out.timings["track_ms"] = (time.perf_counter() - tt) * 1000.0
-        if not mil_tracker.confidence_ok(result, cfg.confidence_threshold):
+        # a resized frame, a gray frame (skin segmentation needs RGB) and a
+        # low-confidence step all end the track: no hand on this frame
+        if (
+            result is None
+            or frame.channels != 3
+            or not mil_tracker.confidence_ok(result, cfg.confidence_threshold)
+        ):
             state.tracker = None
             state.mode = DETECTING
         else:

@@ -9,6 +9,7 @@ import numpy as np
 from handpose import mil_tracker, rand
 from handpose.errors import PatchOutOfFrame
 from handpose.imaging import Image, integral_image
+from handpose.skin_segment import ComponentInfo
 
 
 # ------------------------------------------------------------- NN oracles
@@ -57,7 +58,8 @@ def max_rel_error(analytic, numeric):
 
 
 def rgb_to_ycbcr_oracle(pixels):
-    """BT.601 full range with both sides of round half away from zero."""
+    """BT.601 full range in float64, with both sides of round half away from
+    zero: the reference for the library's integer conversion."""
     m = np.array(
         [
             [0.299, 0.587, 0.114],
@@ -96,28 +98,47 @@ def mil_feature_values_oracle(state, pixels, locs, feats):
     return out
 
 
-def flood_fill_components(bits):
-    """Independent 8-connected BFS labeling; returns list of sets of (y, x) points."""
+def flood_fill_label_oracle(bits):
+    """8-connected row-major scan flood fill with labels in first-seen order:
+    the (H, W) int32 label array and one ComponentInfo per label."""
     offs = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0))
     h, w = bits.shape
-    seen = np.zeros_like(bits, dtype=bool)
-    comps = []
+    labels = np.zeros((h, w), dtype=np.int32)
+    infos = []
+    next_label = 0
     for y in range(h):
         for x in range(w):
-            if bits[y, x] and not seen[y, x]:
-                queue = [(y, x)]
-                seen[y, x] = True
-                pts = set()
-                while queue:
-                    cy, cx = queue.pop()
-                    pts.add((cy, cx))
-                    for dy, dx in offs:
-                        ny, nx = cy + dy, cx + dx
-                        if 0 <= ny < h and 0 <= nx < w and bits[ny, nx] and not seen[ny, nx]:
-                            seen[ny, nx] = True
-                            queue.append((ny, nx))
-                comps.append(pts)
-    return comps
+            if not bits[y, x] or labels[y, x]:
+                continue
+            next_label += 1
+            stack = [(y, x)]
+            labels[y, x] = next_label
+            pts = []
+            while stack:
+                cy, cx = stack.pop()
+                pts.append((cy, cx))
+                for dy, dx in offs:
+                    ny, nx = cy + dy, cx + dx
+                    if 0 <= ny < h and 0 <= nx < w and bits[ny, nx] and not labels[ny, nx]:
+                        labels[ny, nx] = next_label
+                        stack.append((ny, nx))
+            ys = np.array([p[0] for p in pts])
+            xs = np.array([p[1] for p in pts])
+            bbox = (int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
+            infos.append(ComponentInfo(len(pts), bbox, (float(xs.mean()), float(ys.mean()))))
+    return labels, infos
+
+
+def box_morphology_oracle(bits, combine):
+    """Combine the nine 3x3-box shifts of `bits`; outside counts as background."""
+    padded = np.pad(bits, 1, constant_values=False)
+    h, w = bits.shape
+    out = padded[0:h, 0:w].copy()
+    for dy in range(3):
+        for dx in range(3):
+            if dy or dx:
+                out = combine(out, padded[dy : dy + h, dx : dx + w])
+    return out
 
 
 def nearest_rank_oracle(samples, q):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handpose import rand
+from handpose import imaging, rand
 from handpose.errors import (
     MalformedHeader,
     TruncatedBody,
@@ -14,6 +14,7 @@ from handpose.imaging import (
     Image,
     integral_image,
     load_pnm,
+    luma,
     resize_nearest,
     rgb_to_ycbcr,
     save_pnm,
@@ -117,6 +118,31 @@ class TestRgbToYcbcr:
             px = np.stack([code >> 16, (code >> 8) & 255, code & 255], axis=-1).astype(np.uint8)
             px = px.reshape(4096, 256, 3)
             assert np.array_equal(rgb_to_ycbcr(Image(px)).pixels, rgb_to_ycbcr_oracle(px)), start
+
+
+    def test_y_low_tie_table(self):
+        # the exact Y ties (299R + 587G + 114B = 1000k + 500) where float64
+        # rounds down, as sorted packed R << 16 | G << 8 | B keys
+        keys = imaging._Y_LOW_TIES.astype(np.int64)
+        assert len(keys) == 3791
+        assert np.all(np.diff(keys) > 0)
+        r, g, b = keys >> 16, (keys >> 8) & 255, keys & 255
+        assert np.all((299 * r + 587 * g + 114 * b) % 1000 == 500)
+
+
+class TestLuma:
+    def test_gray_is_identity(self):
+        img = Image(np.arange(12, dtype=np.uint8).reshape(3, 4))
+        assert luma(img) is img
+
+    def test_all_rgb_triples_match_float_oracle(self):
+        for start in range(0, 1 << 24, 1 << 20):
+            code = np.arange(start, start + (1 << 20))
+            px = np.stack([code >> 16, (code >> 8) & 255, code & 255], axis=-1).astype(np.uint8)
+            px = px.reshape(4096, 256, 3)
+            gray = luma(Image(px))
+            assert gray.channels == 1
+            assert np.array_equal(gray.pixels[:, :, 0], rgb_to_ycbcr_oracle(px)[:, :, 0]), start
 
 
 class TestResizeNearest:

@@ -7,7 +7,7 @@ import pytest
 from handpose import gesture_net, mil_tracker, pipeline, skin_segment
 from handpose.errors import ConfigLoadError, EmptyHistory
 from handpose.haar_cascade import CascadeModel, Stage, Tree, TreeNode, WeightedRect
-from handpose.imaging import Image
+from handpose.imaging import Image, luma
 from handpose.pipeline import (
     DETECTING,
     TRACKING,
@@ -159,6 +159,27 @@ class TestAdvance:
         assert state.mode == DETECTING
         assert state.tracker is None
         assert out.raw_label is None
+
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [
+            luma,  # tracks as well as the RGB frame, but segmentation needs RGB
+            lambda f: Image(f.pixels[:, :-8]),  # resized: the tracker's box is off frame
+        ],
+        ids=["gray", "resized"],
+    )
+    def test_untrackable_frame_drops_to_detecting(self, bad_frame):
+        cfg = synthetic_config()
+        frame = scene((40, 40))
+        state, _ = advance(PipelineState(), frame, cfg)
+        assert state.mode == TRACKING
+        state, out = advance(state, bad_frame(frame), cfg)
+        assert state.mode == DETECTING
+        assert state.tracker is None
+        assert out.mode == TRACKING
+        assert out.hand_bbox is None and out.raw_label is None and out.confidence is None
+        state, out = advance(state, frame, cfg)
+        assert out.mode == DETECTING and state.mode == TRACKING
 
     def test_tracking_emits_labels_and_timings(self):
         cfg = synthetic_config()

@@ -16,7 +16,14 @@ from handpose.skin_segment import (
     largest_component,
     open_mask,
 )
-from helpers import BG_COLOR, flood_fill_components, scene_frame, skin_texture
+from helpers import (
+    BG_COLOR,
+    box_morphology_oracle,
+    flood_fill_label_oracle,
+    rgb_to_ycbcr_oracle,
+    scene_frame,
+    skin_texture,
+)
 
 
 def full_range_model(alpha=0.0):
@@ -73,6 +80,15 @@ class TestClassifyPixels:
         mask = classify_pixels(Image(img), SkinModel(intervals, 0.0))
         assert mask.bits[:, :4].all()
         assert not mask.bits[:, 4:].any()
+
+    def test_matches_six_channel_oracle(self):
+        rng = rand.generator(41, 0)
+        for _ in range(20):
+            px = rng.integers(0, 256, size=(17, 23, 3)).astype(np.uint8)
+            model = SkinModel(np.stack([rng.integers(0, 100, 6), rng.integers(100, 256, 6)], axis=1), 0.0)
+            chans = np.concatenate([px, rgb_to_ycbcr_oracle(px)], axis=2).astype(np.int64)
+            expect = np.all((chans >= model.intervals[:, 0]) & (chans <= model.intervals[:, 1]), axis=2)
+            assert np.array_equal(classify_pixels(Image(px), model).bits, expect)
 
     def test_monotone_in_model(self):
         rng = rand.generator(33, 0)
@@ -132,6 +148,22 @@ class TestMorphology:
             assert np.all(~erode(mask).bits | bits)
             assert np.all(~bits | dilate(mask).bits)
 
+    def test_matches_nine_shift_oracle(self):
+        # blobs and specks touching every edge and corner, and masks down to 1x1
+        rng = rand.generator(40, 0)
+        shapes = [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9)] + [tuple(rng.integers(3, 40, size=2)) for _ in range(60)]
+        for h, w in shapes:
+            bits = rng.random((h, w)) < rng.random()
+            bits[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+            bits[: (h + 1) // 2, : (w + 1) // 2] |= rng.random() < 0.3
+            mask = BinaryMask(bits)
+            expect_er, expect_dil = bits, bits
+            for iters in (1, 2, 3):
+                expect_er = box_morphology_oracle(expect_er, np.logical_and)
+                expect_dil = box_morphology_oracle(expect_dil, np.logical_or)
+                assert np.array_equal(erode(mask, iters).bits, expect_er), (h, w, iters)
+                assert np.array_equal(dilate(mask, iters).bits, expect_dil), (h, w, iters)
+
     def test_open_close_idempotent(self):
         rng = rand.generator(37, 0)
         for _ in range(10):
@@ -169,15 +201,41 @@ class TestComponents:
         assert infos[0].area == n
 
     def test_matches_flood_fill_oracle(self):
+        # labels, point sets and every ComponentInfo equal the scalar flood
+        # fill, on random masks raw and cleaned up, and on shapes that make
+        # runs merge late or only diagonally
+        u_late = np.zeros((9, 11), dtype=bool)
+        u_late[:8, 1] = u_late[:8, 9] = True  # two arms, seen as two runs per row
+        u_late[8, 1:10] = True  # joined only on the last row
+        v_late = np.zeros((6, 11), dtype=bool)
+        for k in range(6):
+            v_late[k, k] = v_late[k, 10 - k] = True  # arms meet diagonally at the bottom
+        masks = [
+            np.zeros((7, 9), dtype=bool),
+            np.ones((7, 9), dtype=bool),
+            np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool),
+            np.array([[1], [1], [0], [1], [0], [0], [1]], dtype=bool),
+            np.eye(8, dtype=bool),
+            np.eye(8, dtype=bool)[::-1],
+            u_late,
+            v_late,
+        ]
         rng = rand.generator(38, 0)
-        for _ in range(10):
-            bits = rng.random((14, 14)) < 0.4
+        for _ in range(200):
+            h, w = rng.integers(1, 81, size=2)
+            bits = rng.random((h, w)) < rng.random()
+            masks.append(bits)
+            masks.append(open_mask(BinaryMask(bits)).bits)
+            masks.append(close_mask(BinaryMask(bits), 2).bits)
+        for bits in masks:
             labels, infos = label_components(BinaryMask(bits))
-            oracle = flood_fill_components(bits)
-            assert len(infos) == len(oracle)
-            areas_impl = sorted(i.area for i in infos)
-            areas_oracle = sorted(len(s) for s in oracle)
-            assert areas_impl == areas_oracle
+            oracle_labels, oracle_infos = flood_fill_label_oracle(bits)
+            assert labels.dtype == np.int32
+            assert np.array_equal(labels, oracle_labels)
+            assert infos == oracle_infos
+            assert [info.area for info in infos] == np.bincount(labels.ravel())[1:].tolist()
+        assert len(label_components(BinaryMask(u_late))[1]) == 1
+        assert len(label_components(BinaryMask(v_late))[1]) == 1
 
 
 class TestExtractHandPatch:
