@@ -21,29 +21,23 @@ REFERENCE_NOTE = "reference: embedded-class core 351 ms / 0.690 W per image"
 @dataclass
 class BenchReport:
     op: str
-    iterations: int
     warmup: int
     samples_ms: list
     environment: str = field(default_factory=platform.platform)
-
-    def __post_init__(self):
-        if self.iterations != len(self.samples_ms):
-            raise ValueError("iterations must equal sample count")
 
     def stats(self) -> dict:
         return latency_stats(self.samples_ms)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "op": self.op,
-            "iterations": self.iterations,
+            "iterations": len(self.samples_ms),
             "warmup": self.warmup,
             "samples_ms": list(self.samples_ms),
             "environment": self.environment,
             "reference": REFERENCE_NOTE,
+            **self.stats(),
         }
-        d.update(self.stats())
-        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -62,7 +56,7 @@ def bench_forward(net: Network, iters: int = 100, warmup: int = 10, seed: int = 
         t0 = time.perf_counter()
         net.forward(x)
         samples.append((time.perf_counter() - t0) * 1000.0)
-    return BenchReport("forward", iters, warmup, samples)
+    return BenchReport("forward", warmup, samples)
 
 
 def bench_pipeline(frames, cfg: PipelineConfig, iters: int = 1) -> BenchReport:
@@ -73,4 +67,4 @@ def bench_pipeline(frames, cfg: PipelineConfig, iters: int = 1) -> BenchReport:
     for _ in range(iters):
         report = run_session(frames, cfg)
         samples.extend(f.timings["total_ms"] for f in report.frames)
-    return BenchReport("pipeline", len(samples), 0, samples)
+    return BenchReport("pipeline", 0, samples)

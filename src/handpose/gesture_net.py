@@ -40,8 +40,6 @@ from .tensor_nn import (
 
 INPUT_SIDE = 48
 NUM_CLASSES = 10
-# shapes after each stage: 48 -> 44 -> 22 -> 20 -> 10 -> 1600 -> 120 -> 84 -> 10
-SHAPE_CHAIN = ((6, 44, 44), (6, 22, 22), (16, 20, 20), (16, 10, 10), (1600,), (120,), (84,), (10,))
 PARAM_COUNT = 204_170
 # training: the learning rate is multiplied by LR_DECAY every DECAY_EVERY
 # epochs; evaluation predicts PREDICT_BATCH samples per forward pass
@@ -55,17 +53,6 @@ class Network:
 
     def __init__(self, layers):
         self.layers = list(layers)
-        self._assert_shapes()
-
-    def _assert_shapes(self):
-        probe = np.zeros((1, 1, INPUT_SIDE, INPUT_SIDE), dtype=np.float32)
-        expect = iter(SHAPE_CHAIN)
-        for layer in self.layers:
-            probe = layer.forward(probe)
-            if isinstance(layer, (Conv2D, MaxPool2x2, Flatten, Dense)):
-                want = next(expect)
-                if probe.shape[1:] != want:
-                    raise ShapeMismatch(f"stage produced {probe.shape[1:]}, expected {want}")
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
@@ -113,9 +100,7 @@ def build_network(seed: int) -> Network:
         ReLU(),
         Dense(84, 10, seed=rand.derive_seed(seed, 5)),
     ]
-    net = Network(layers)
-    assert net.param_count == PARAM_COUNT
-    return net
+    return Network(layers)
 
 
 # ---------------------------------------------------------------- dataset
@@ -193,8 +178,8 @@ class Hyper:
     seed: int = 42
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size <= 0 or self.epochs <= 0:
@@ -205,7 +190,6 @@ class Hyper:
 class TrainReport:
     epochs: list  # (train_loss, train_acc, val_acc) per epoch
     best_val_acc: float
-    best_state: list
 
 
 def stratified_split(y: np.ndarray, split: float, seed: int):
@@ -267,7 +251,7 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
             best_acc = val_acc
             best_state = net.state()
     net.load_state(best_state)
-    return TrainReport(epochs_log, best_acc, best_state)
+    return TrainReport(epochs_log, best_acc)
 
 
 # -------------------------------------------------------------- evaluation
@@ -306,6 +290,11 @@ WEIGHTS_VERSION = 1
 _KIND_CODES = {"conv": 1, "dense": 2}
 
 
+def _require_finite(p):
+    if not (np.isfinite(p.w).all() and np.isfinite(p.b).all()):
+        raise ValueError(f"non-finite {p.kind} layer parameters")
+
+
 def save_weights(net: Network) -> bytes:
     """Little-endian container with a trailing CRC32 of all prior bytes."""
     params = net.params()
@@ -313,8 +302,7 @@ def save_weights(net: Network) -> bytes:
     out += WEIGHTS_MAGIC
     out += struct.pack("<II", WEIGHTS_VERSION, len(params))
     for p in params:
-        if not np.all(np.isfinite(p.w)) or not np.all(np.isfinite(p.b)):
-            raise ValueError("non-finite parameters cannot be serialized")
+        _require_finite(p)
         dims = p.w.shape
         out += struct.pack("<BI", _KIND_CODES[p.kind], len(dims))
         out += struct.pack(f"<{len(dims)}I", *dims)
@@ -361,6 +349,7 @@ def load_weights(data: bytes) -> Network:
         pos += 4 * n_w
         p.b[...] = np.frombuffer(body, dtype="<f4", count=n_b, offset=pos)
         pos += 4 * n_b
+        _require_finite(p)
     if pos != len(body):
         raise ShapeMismatch("trailing bytes after last layer record")
     return net

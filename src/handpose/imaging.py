@@ -120,13 +120,13 @@ class IntegralTable:
         return int(s[y + h, x + w] - s[y, x + w] - s[y + h, x] + s[y, x])
 
 
-def _read_header_token(data: bytes, pos: int, allow_comments: bool) -> tuple[bytes, int]:
+def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     n = len(data)
     while pos < n:
         c = data[pos : pos + 1]
         if c.isspace():
             pos += 1
-        elif allow_comments and c == b"#":
+        elif c == b"#":
             while pos < n and data[pos : pos + 1] != b"\n":
                 pos += 1
         else:
@@ -148,7 +148,7 @@ def load_pnm(data: bytes) -> Image:
     pos = 2
     fields = []
     for _ in range(3):
-        token, pos = _read_header_token(data, pos, allow_comments=True)
+        token, pos = _read_header_token(data, pos)
         if not token.isdigit():
             raise MalformedHeader(f"non-numeric header field {token!r}")
         fields.append(int(token))
@@ -178,15 +178,18 @@ def save_pnm(img: Image) -> bytes:
 
 # BT.601 full range in exact integer arithmetic, equal on every 8-bit triple
 # to the float64 matmul with floor(v + 0.5) rounding that the recorded
-# sessions were made with. That matmul rounds some exact Y ties
-# (299R + 587G + 114B = 1000k + 500) down; _Y_LOW_TIES lists them.
+# sessions were made with; _Y_LOW_TIES holds the Y ties it rounds down.
 
 
 def _y_low_ties() -> np.ndarray:
-    """Sorted packed keys (R << 16 | G << 8 | B) of the exact Y ties where the
-    float64 conversion rounds down. A tie needs 114B = 500 - 299R - 587G
-    (mod 1000): 57 is invertible mod 500, so each (R, G) has at most one B.
-    Built 32 values of R at a time, so no transient array reaches 128 KB."""
+    """Sorted packed keys (R << 16 | G << 8 | B) of the exact Y ties
+    299R + 587G + 114B = 1000k + 500 where fma(B, 0.114, fma(G, 0.587,
+    R * 0.299)), the FMA chain of the OpenBLAS dgemm kernel, falls below
+    k + 0.5. A plain left-to-right float64 sum differs at 2,965 of the 16,782
+    ties: the table follows whatever BLAS is loaded at import. A tie needs
+    114B = 500 - 299R - 587G (mod 1000): 57 is invertible mod 500, so each
+    (R, G) has at most one B. Built 32 values of R at a time, so no transient
+    array reaches 128 KB."""
     ycbcr = np.array(
         [
             [0.299, 0.587, 0.114],
@@ -232,7 +235,7 @@ def _luma_plane(r, g, b) -> np.ndarray:
 
 
 def rgb_to_ycbcr(img: Image) -> Image:
-    """BT.601 full-range conversion, rounding half away from zero."""
+    """BT.601 full-range conversion, rounding half up (Y: down at _Y_LOW_TIES)."""
     if img.channels != 3:
         raise WrongChannelCount(f"need 3 channels, got {img.channels}")
     r, g, b = _planes(img)
@@ -260,12 +263,10 @@ def resize_nearest(obj, w: int, h: int):
     """Nearest-neighbor resize; preserves the kind (Image or BinaryMask)."""
     if w <= 0 or h <= 0:
         raise ZeroDimension("target dimensions must be positive")
-    if isinstance(obj, BinaryMask):
-        ys = _nearest_indices(h, obj.height)
-        xs = _nearest_indices(w, obj.width)
-        return BinaryMask(obj.bits[np.ix_(ys, xs)])
     ys = _nearest_indices(h, obj.height)
     xs = _nearest_indices(w, obj.width)
+    if isinstance(obj, BinaryMask):
+        return BinaryMask(obj.bits[np.ix_(ys, xs)])
     return Image(obj.pixels[np.ix_(ys, xs)])
 
 

@@ -11,6 +11,7 @@ classifiers that maximize the noisy-OR bag likelihood.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,21 +22,19 @@ from .imaging import Image, IntegralTable, integral_image
 
 @dataclass
 class MILParams:
-    search_radius: int = 25
-    pos_radius: int = 4
-    neg_inner: float = 8.0  # 2 * pos_radius
-    neg_outer: float = 37.5  # 1.5 * search_radius
+    search_radius: ClassVar[int] = 25
+    pos_radius: ClassVar[int] = 4
+    neg_inner: ClassVar[float] = 2.0 * pos_radius
+    neg_outer: ClassVar[float] = 1.5 * search_radius
+    gamma: ClassVar[float] = 0.85
+    sigma_floor: ClassVar[float] = 1e-3
     num_features: int = 250
     num_selected: int = 50
     num_negatives: int = 65
-    gamma: float = 0.85
-    sigma_floor: float = 1e-3
 
     def __post_init__(self):
         if self.num_selected > self.num_features:
             raise ValueError("num_selected cannot exceed num_features")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must be in (0, 1)")
 
 
 @dataclass

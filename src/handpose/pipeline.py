@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class PipelineConfig:
     network: gesture_net.Network
     cascade: haar_cascade.CascadeModel
     confidence_threshold: float = 0.0
-    smoothing_window: int = 5
+    smoothing_window: ClassVar[int] = 5
     # tracked box = square of side size_ratio*min(det_w, det_h), centered
     # horizontally, its center at det_y + vertical_anchor*det_h
     wrist_vertical_anchor: float = 0.8
@@ -68,17 +69,6 @@ class FrameOutput:
     smoothed_label: int | None = None
     confidence: float | None = None
     timings: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "frame_index": self.frame_index,
-            "mode": self.mode,
-            "hand_bbox": list(self.hand_bbox) if self.hand_bbox else None,
-            "raw_label": self.raw_label,
-            "smoothed_label": self.smoothed_label,
-            "confidence": self.confidence,
-            "timings": self.timings,
-        }
 
 
 def smooth_label(history) -> int:
@@ -179,10 +169,7 @@ class SessionReport:
     aggregates: dict
 
     def to_dict(self):
-        return {
-            "frames": [f.to_dict() for f in self.frames],
-            "aggregates": self.aggregates,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -12,6 +12,7 @@ from handpose.haar_cascade import TreeNode, serialize_cascade
 from handpose.imaging import Image, load_pnm, save_pnm
 
 from helpers import BG_COLOR, SKIN_BASE, nearest_rank_oracle
+from test_gesture_net import poisoned_weights
 from test_pipeline import brightness_cascade, flat_skin_model, scene, zero_network
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -139,15 +140,27 @@ def _skin_bound_args(bound):
     return args
 
 
-def _one_image_per_class_args(tmp_path):
-    root = tmp_path / "data"
-    for label in range(2):
-        sub = root / str(label)
-        sub.mkdir(parents=True)
-        bits = np.zeros((48, 48, 1), dtype=np.uint8)
-        bits[:, : 24 * label + 12] = 255
-        sub.joinpath("a.pgm").write_bytes(save_pnm(Image(bits)))
-    return ["train", "--data", str(root), "--out", str(tmp_path / "w.hgw"), "--epochs", "1"]
+def _train_args(per_class, *flags):
+    def args(tmp_path):
+        root = tmp_path / "data"
+        for label in range(2):
+            sub = root / str(label)
+            sub.mkdir(parents=True)
+            bits = np.zeros((48, 48, 1), dtype=np.uint8)
+            bits[:, : 24 * label + 12] = 255
+            for i in range(per_class):
+                sub.joinpath(f"{i}.pgm").write_bytes(save_pnm(Image(bits)))
+        return ["train", "--data", str(root), "--out", str(tmp_path / "w.hgw"), "--epochs", "2", *flags]
+
+    return args
+
+
+def _poisoned_weights_args(tmp_path):
+    weights = tmp_path / "w.hgw"
+    weights.write_bytes(poisoned_weights(zero_network(), np.nan))
+    image = tmp_path / "mask.pgm"
+    image.write_bytes(save_pnm(Image(np.full((48, 48), 255, dtype=np.uint8))))
+    return ["classify", "--image", str(image), "--weights", str(weights)]
 
 
 BAD_INPUTS = {
@@ -161,7 +174,10 @@ BAD_INPUTS = {
     "skin-bound-overflow": (_skin_bound_args("99999999999999999999"), "channel G"),
     "skin-bound-256": (_skin_bound_args("256"), "channel G"),
     "skin-bound-1e3": (_skin_bound_args("1e3"), "channel G"),
-    "one-image-per-class": (_one_image_per_class_args, "validation split is empty"),
+    "one-image-per-class": (_train_args(1), "validation split is empty"),
+    "lr-nan": (_train_args(2, "--lr", "nan"), "learning_rate"),
+    "lr-inf": (_train_args(2, "--lr", "inf"), "learning_rate"),
+    "weights-nan": (_poisoned_weights_args, "non-finite"),
 }
 
 
@@ -170,9 +186,10 @@ class TestBadInputs:
     def test_one_error_line(self, capsys, tmp_path, case):
         build_args, expect = BAD_INPUTS[case]
         assert main(build_args(tmp_path)) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error:") and err.count("\n") == 1
         assert expect in err and "Traceback" not in err
+        assert "epoch" not in out  # a bad training input stops before training
 
     def test_huge_finite_scale_factor_scans_scale_one(self, capsys, tmp_path):
         argv = _detect_args(brightness_cascade(), "--scale-factor", "1e308")(tmp_path)

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,16 @@ from handpose.gesture_net import (
 )
 from handpose.imaging import BinaryMask, Image, save_pnm
 from handpose.tensor_nn import softmax
+
+
+def poisoned_weights(net: Network, value: float) -> bytes:
+    """The weight file of `net` with conv1's first weight set to `value`
+    and the CRC32 made valid again."""
+    blob = bytearray(save_weights(net))
+    # 12-byte file header, then conv1's record head: kind, rank, 4 dims
+    struct.pack_into("<f", blob, 12 + 1 + 4 + 4 * 4, value)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    return bytes(blob)
 
 
 def zero_network() -> Network:
@@ -69,12 +82,14 @@ class TestBuildNetwork:
         for layer in net.layers:
             x = layer.forward(x)
             shapes.append(x.shape[1:])
-        assert (6, 44, 44) in shapes
-        assert (6, 22, 22) in shapes
-        assert (16, 20, 20) in shapes
-        assert (16, 10, 10) in shapes
-        assert (1600,) in shapes
-        assert shapes[-1] == (10,)
+        assert shapes == [
+            (6, 44, 44), (6, 44, 44), (6, 22, 22),  # conv1, ReLU, pool
+            (16, 20, 20), (16, 20, 20), (16, 10, 10),  # conv2, ReLU, pool
+            (1600,),  # flatten
+            (120,), (120,),  # dense1, ReLU
+            (84,), (84,),  # dense2, ReLU
+            (10,),  # dense3
+        ]
 
 
 class TestOtsu:
@@ -181,11 +196,11 @@ class TestTrain:
     def test_deterministic_report(self):
         data = _toy_two_class_dataset()
         hyper = Hyper(learning_rate=0.01, momentum=0.9, batch_size=16, epochs=2, seed=5)
-        r1 = train(build_network(5), data, hyper)
-        r2 = train(build_network(5), data, hyper)
+        n1, n2 = build_network(5), build_network(5)
+        r1, r2 = train(n1, data, hyper), train(n2, data, hyper)
         assert r1.epochs == r2.epochs
-        for (w1, b1), (w2, b2) in zip(r1.best_state, r2.best_state):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        for p1, p2 in zip(n1.params(), n2.params()):
+            assert np.array_equal(p1.w, p2.w) and np.array_equal(p1.b, p2.b)
 
 
 class TestEvaluate:
@@ -256,14 +271,18 @@ class TestWeightFile:
             load_weights(bytes(blob))
 
     def test_version_mismatch(self):
-        import struct
-        import zlib
-
         blob = bytearray(save_weights(build_network(12)))
         blob[4:8] = struct.pack("<I", 99)
         blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
         with pytest.raises(VersionMismatch):
             load_weights(bytes(blob))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, value):
+        # save_weights refuses to write such a file, so load_weights must
+        # not accept one: a NaN in conv1 is hidden by the ReLU downstream
+        with pytest.raises(ValueError, match="non-finite"):
+            load_weights(poisoned_weights(build_network(13), value))
 
 
 class TestClassifyMask:

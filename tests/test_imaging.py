@@ -111,8 +111,9 @@ class TestRgbToYcbcr:
         assert out.min() >= 0 and out.max() <= 255
 
     def test_all_rgb_triples_match_two_sided_rounding(self):
-        # rgb_to_ycbcr rounds with floor(v + 0.5), which is half away from
-        # zero only while v >= 0: every 8-bit triple must stay on that side
+        # rgb_to_ycbcr rounds half up in integer arithmetic (Y: down at
+        # _Y_LOW_TIES), the oracle half away from zero in float64: no 8-bit
+        # triple may tell the two apart
         for start in range(0, 1 << 24, 1 << 20):
             code = np.arange(start, start + (1 << 20))
             px = np.stack([code >> 16, (code >> 8) & 255, code & 255], axis=-1).astype(np.uint8)
