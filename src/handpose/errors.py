@@ -83,10 +83,6 @@ class RectOutOfWindow(HandposeError):
     pass
 
 
-class WindowOutOfFrame(HandposeError):
-    pass
-
-
 class ImageTooSmall(HandposeError):
     pass
 

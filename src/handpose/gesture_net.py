@@ -227,8 +227,8 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
         raise ValueError("validation split is empty: at least one class needs 2 or more images")
     xt, yt, xv, yv = x[tr], y[tr], x[va], y[va]
     epochs_log = []
+    # every accuracy beats -1, so epoch 0 (epochs >= 1) sets best_state
     best_acc = -1.0
-    best_state = net.state()
     lr = hyper.learning_rate
     for epoch in range(hyper.epochs):
         if epoch > 0 and epoch % DECAY_EVERY == 0:

@@ -43,10 +43,9 @@ from .errors import (
     ImageTooSmall,
     RectOutOfWindow,
     SchemaViolation,
-    WindowOutOfFrame,
     XmlSyntax,
 )
-from .imaging import Image, IntegralTable, integral_image
+from .imaging import Image, hook_min_roots, integral_image
 
 
 @dataclass
@@ -255,85 +254,124 @@ def _scaled_rect(r: WeightedRect, scale: float):
     return x, y, max(1, round((r.x + r.w) * scale) - x), max(1, round((r.y + r.h) * scale) - y)
 
 
-def _eval_tree(tree: Tree, integral: IntegralTable, x, y, scale, inv_norm) -> float:
-    idx = 0
-    while True:
-        node = tree.nodes[idx]
-        f = 0.0
-        for r in node.rects:
-            rx, ry, rw, rh = _scaled_rect(r, scale)
-            f += r.weight * integral.rect_sum(x + rx, y + ry, rw, rh)
-        f *= inv_norm
-        if f < node.threshold:
-            if node.left_val is not None:
-                return node.left_val
-            idx = node.left_child
-        else:
-            if node.right_val is not None:
-                return node.right_val
-            idx = node.right_child
+# rows of the pairwise overlap test that _group_detections holds at once;
+# its int and bool matrices are GROUP_BLOCK x n
+GROUP_BLOCK = 16
 
 
-def evaluate_window(model: CascadeModel, integral: IntegralTable, win) -> bool:
-    """Pass/fail of one window at (x, y) with the given scale multiplier.
+class _ScaleScan:
+    """One scale of the scan, compiled against one frame's tables.
+
+    `sums` and `sqsums` are flat int views of the two summed-area tables,
+    `row` their row length. A window is named by the flat index `base` of
+    its top-left corner, y * row + x; `corners` holds the other three
+    corner offsets. Each node keeps its rects as (weight, top-left,
+    top-right, bottom-left, bottom-right) offsets from `base`, then its
+    threshold, left_val, left_child, right_val and right_child.
+    """
+
+    __slots__ = ("sums", "sqsums", "area", "corners", "stages")
+
+    def __init__(self, model: CascadeModel, sums, sqsums, row: int, scale: float):
+        def corners(x, y, w, h):
+            tl = y * row + x
+            return tl, tl + w, tl + h * row, tl + h * row + w
+
+        ww = int(round(model.window[0] * scale))
+        wh = int(round(model.window[1] * scale))
+        self.sums = sums
+        self.sqsums = sqsums
+        self.area = ww * wh
+        self.corners = corners(0, 0, ww, wh)[1:]
+
+        def compile_node(node):
+            rects = tuple((r.weight, *corners(*_scaled_rect(r, scale))) for r in node.rects)
+            return rects, node.threshold, node.left_val, node.left_child, node.right_val, node.right_child
+
+        self.stages = tuple(
+            (stage.threshold, tuple(tuple(compile_node(n) for n in t.nodes) for t in stage.trees))
+            for stage in model.stages
+        )
+
+
+def evaluate_window(scan: _ScaleScan, base: int) -> bool:
+    """Pass/fail of the window whose top-left corner is flat index `base`.
 
     Feature values are normalized by window area times the windowed
-    stddev (clamped below at 1 to keep flat regions finite).
+    stddev (clamped below at 1 to keep flat regions finite). Every rect
+    sum is an exact int, and the float operations run in the order of
+    the scalar reference, so each value is bit for bit the same. The
+    caller keeps the window inside the frame: an index past a row's end
+    reads the next row instead of failing.
     """
-    x, y, scale = win
-    ww = int(round(model.window[0] * scale))
-    wh = int(round(model.window[1] * scale))
-    if x < 0 or y < 0 or x + ww > integral.width or y + wh > integral.height:
-        raise WindowOutOfFrame(f"window ({x},{y},{ww},{wh}) outside frame")
-    area = ww * wh
-    mean = integral.rect_sum(x, y, ww, wh) / area
-    var = integral.rect_sqsum(x, y, ww, wh) / area - mean * mean
-    sigma = np.sqrt(max(var, 0.0))
-    if sigma < 1.0:
-        sigma = 1.0
+    s = scan.sums
+    q = scan.sqsums
+    tr, bl, br = scan.corners
+    area = scan.area
+    mean = (s[base + br] - s[base + tr] - s[base + bl] + s[base]) / area
+    var = (q[base + br] - q[base + tr] - q[base + bl] + q[base]) / area - mean * mean
+    # sqrt(max(var, 0)) clamped at 1: sqrt is correctly rounded and
+    # monotone, so it stays at or below 1 exactly when var does
+    sigma = math.sqrt(var) if var > 1.0 else 1.0
     inv_norm = 1.0 / (area * sigma)
-    for stage in model.stages:
-        total = sum(_eval_tree(t, integral, x, y, scale, inv_norm) for t in stage.trees)
-        if total < stage.threshold:
+    for stage_threshold, trees in scan.stages:
+        total = 0
+        for nodes in trees:
+            rects, threshold, left_val, left_child, right_val, right_child = nodes[0]
+            while True:
+                f = 0.0
+                for weight, a, b, c, d in rects:
+                    f += weight * (s[base + d] - s[base + b] - s[base + c] + s[base + a])
+                f *= inv_norm
+                if f < threshold:
+                    if left_val is not None:
+                        total += left_val
+                        break
+                    node = nodes[left_child]
+                else:
+                    if right_val is not None:
+                        total += right_val
+                        break
+                    node = nodes[right_child]
+                rects, threshold, left_val, left_child, right_val, right_child = node
+        if total < stage_threshold:
             return False
     return True
 
 
-def _mutual_overlap(a, b) -> bool:
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    return inter * 2 >= aw * ah and inter * 2 >= bw * bh
-
-
 def _group_detections(raw, min_neighbors):
-    parent = list(range(len(raw)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(raw)):
-        for j in range(i + 1, len(raw)):
-            if _mutual_overlap(raw[i], raw[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(len(raw)):
-        groups.setdefault(find(i), []).append(raw[i])
+    """Connected components of the >=50% mutual-overlap graph over the raw
+    hits, each rooted at its smallest index; groups in root order, each
+    the rounded mean of its members in index order, then sorted by box."""
+    n = len(raw)
+    boxes = np.array(raw, dtype=np.int32).reshape(n, 4)
+    x0, y0, w, h = boxes.T
+    x1, y1, area = x0 + w, y0 + h, w * h
+    root = np.arange(n)
+    for s in range(0, n, GROUP_BLOCK):
+        e = min(s + GROUP_BLOCK, n)
+        ix = np.minimum(x1[s:e, None], x1[None, s:])
+        ix -= np.maximum(x0[s:e, None], x0[None, s:])
+        np.maximum(ix, 0, out=ix)
+        iy = np.minimum(y1[s:e, None], y1[None, s:])
+        iy -= np.maximum(y0[s:e, None], y0[None, s:])
+        np.maximum(iy, 0, out=iy)
+        ix *= iy
+        ix *= 2
+        # a link whose ends already share a root (the diagonal, say) joins
+        # nothing; dropping those keeps the edge arrays small once a group
+        # has formed. A link inside the block is kept from both ends.
+        ok = (ix >= area[s:e, None]) & (ix >= area[None, s:]) & (root[s:e, None] != root[None, s:])
+        a, b = np.nonzero(ok)
+        root = hook_min_roots(root, a + s, b + s)
+    _, counts = np.unique(root, return_counts=True)
+    order = np.argsort(root, kind="stable")
     out = []
-    for members in groups.values():
-        if len(members) < min_neighbors:
+    for start, count in zip((np.cumsum(counts) - counts).tolist(), counts.tolist()):
+        if count < min_neighbors:
             continue
-        arr = np.array(members, dtype=np.float64)
-        mean = arr.mean(axis=0)
-        bbox = tuple(int(round(v)) for v in mean)
-        out.append(Detection(bbox, len(members)))
+        mean = boxes[order[start : start + count]].astype(np.float64).mean(axis=0)
+        out.append(Detection(tuple(int(round(v)) for v in mean), count))
     out.sort(key=lambda d: (d.bbox[0], d.bbox[1], d.bbox[2]))
     return out
 
@@ -346,7 +384,12 @@ def detect_multiscale(
     min_neighbors: int = 1,
 ):
     """Scan all scales window*scale_factor^k that fit the frame; group raw
-    hits by >=50% mutual overlap; keep groups with >= min_neighbors hits."""
+    hits by >=50% mutual overlap; keep groups with >= min_neighbors hits.
+
+    Builds the frame's integral tables with one `integral_image` call and
+    compiles each scale once; then calls `evaluate_window` exactly once
+    per window position, in row-major order within each scale.
+    """
     if not 1.05 <= scale_factor < math.inf:
         raise ValueError("scale_factor must be finite and >= 1.05")
     if not math.isfinite(step_fraction):
@@ -355,6 +398,9 @@ def detect_multiscale(
     if gray.width < w0 or gray.height < h0:
         raise ImageTooSmall(f"frame {gray.width}x{gray.height} smaller than {w0}x{h0} window")
     integral = integral_image(gray)
+    sums = memoryview(integral.sum.ravel())
+    sqsums = memoryview(integral.sqsum.ravel())
+    row = gray.width + 1
     raw = []
     scale = 1.0
     # the guard stops before rounding a window that overflowed to inf
@@ -364,9 +410,11 @@ def detect_multiscale(
         if ww > gray.width or wh > gray.height:
             break
         stride = max(1, int(round(step_fraction * scale)))
+        scan = _ScaleScan(model, sums, sqsums, row, scale)
         for y in range(0, gray.height - wh + 1, stride):
-            for x in range(0, gray.width - ww + 1, stride):
-                if evaluate_window(model, integral, (x, y, scale)):
-                    raw.append((x, y, ww, wh))
+            first = y * row
+            for base in range(first, first + gray.width - ww + 1, stride):
+                if evaluate_window(scan, base):
+                    raw.append((base - first, y, ww, wh))
         scale *= scale_factor
     return _group_detections(raw, min_neighbors)

@@ -1,4 +1,5 @@
-"""Raster containers, PNM I/O, color conversion, resizing and integral images."""
+"""Raster containers, PNM I/O, color conversion, resizing, integral images
+and the union of linked index pairs."""
 
 from __future__ import annotations
 
@@ -284,3 +285,21 @@ def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
         q = np.zeros((h + 1, w + 1), dtype=np.int64)
         q[1:, 1:] = (px * px).cumsum(axis=0).cumsum(axis=1)
     return IntegralTable(s, q)
+
+
+def hook_min_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the sets linked by each pair (a[i], b[i]) in the flat forest
+    `root` (every entry points at its set's smallest member): hook the
+    larger root of every link onto the smaller, then flatten every entry
+    onto its root, until each link joins two equal roots. May update
+    `root` in place; returns the flat forest."""
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return root
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up

@@ -60,7 +60,7 @@ class TrackerState:
     sg1: np.ndarray
     mu0: np.ndarray
     sg0: np.ndarray
-    selected: np.ndarray
+    selected: np.ndarray = field(init=False)  # set by every _mil_update
     rng: np.random.Generator = field(repr=False)
 
 
@@ -278,7 +278,6 @@ def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int =
         sg1=np.ones(m),
         mu0=np.zeros(m),
         sg0=np.ones(m),
-        selected=np.arange(params.num_selected, dtype=np.intp),
         rng=rand.generator(seed, 11),
     )
     _mil_update(state, integral_image(gray, squared=False), first=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, WrongChannelCount
-from .imaging import BinaryMask, Image, resize_nearest, rgb_to_ycbcr
+from .imaging import BinaryMask, Image, hook_min_roots, resize_nearest, rgb_to_ycbcr
 
 CHANNEL_NAMES = ("R", "G", "B", "Y", "Cb", "Cr")
 # extraction: 3x3-box opening then closing, each this many iterations, and
@@ -178,19 +178,7 @@ def label_components(mask: BinaryMask):
     # one link (a, b) for each a in [first_b, stop_b)
     b = np.repeat(np.arange(n), count)
     a = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(b))
-    # hook the larger root of every link onto the smaller, then flatten
-    # every run onto its root, until each link joins two equal roots
-    root = np.arange(n)
-    while True:
-        ra, rb = root[a], root[b]
-        if np.array_equal(ra, rb):
-            break
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
+    root = hook_min_roots(np.arange(n), a, b)
     # roots ascend in first-seen order, and every run sits at or after its root
     is_root = root == np.arange(n)
     run_label = np.cumsum(is_root)[root]

@@ -6,8 +6,8 @@ paths: plain loops, 64-bit accumulation, no shared code.
 
 import numpy as np
 
-from handpose import mil_tracker, rand
-from handpose.errors import PatchOutOfFrame
+from handpose import haar_cascade, mil_tracker, rand
+from handpose.errors import ImageTooSmall, PatchOutOfFrame
 from handpose.imaging import Image, integral_image
 from handpose.skin_segment import ComponentInfo
 
@@ -146,6 +146,144 @@ def nearest_rank_oracle(samples, q):
     ordered = sorted(samples)
     rank = max(1, int(np.ceil(q * len(ordered))))
     return ordered[rank - 1]
+
+
+# ------------------------------------------------------ cascade oracles
+
+
+def feature_value_oracle(node, integral, x, y, scale, inv_norm):
+    """A node's normalized feature at window (x, y): weighted 2-D table
+    rect sums added to 0.0 in rect order, then times inv_norm."""
+    f = 0.0
+    for r in node.rects:
+        rx, ry, rw, rh = haar_cascade._scaled_rect(r, scale)
+        f += r.weight * integral.rect_sum(x + rx, y + ry, rw, rh)
+    return f * inv_norm
+
+
+def _eval_tree_oracle(tree, integral, x, y, scale, inv_norm):
+    idx = 0
+    while True:
+        node = tree.nodes[idx]
+        if feature_value_oracle(node, integral, x, y, scale, inv_norm) < node.threshold:
+            if node.left_val is not None:
+                return node.left_val
+            idx = node.left_child
+        else:
+            if node.right_val is not None:
+                return node.right_val
+            idx = node.right_child
+
+
+def inv_norm_oracle(model, integral, win):
+    """1 / (area * sigma) of window (x, y, scale), sigma the windowed
+    stddev through np.sqrt, clamped below at 1; IndexError outside the frame."""
+    x, y, scale = win
+    ww = int(round(model.window[0] * scale))
+    wh = int(round(model.window[1] * scale))
+    if x < 0 or y < 0 or x + ww > integral.width or y + wh > integral.height:
+        raise IndexError(f"window ({x},{y},{ww},{wh}) outside frame")
+    area = ww * wh
+    mean = integral.rect_sum(x, y, ww, wh) / area
+    var = integral.rect_sqsum(x, y, ww, wh) / area - mean * mean
+    sigma = np.sqrt(max(var, 0.0))
+    if sigma < 1.0:
+        sigma = 1.0
+    return 1.0 / (area * sigma)
+
+
+def stage_total_oracle(stage, integral, win, inv_norm):
+    """The stage's tree values at window (x, y, scale), summed from 0 in tree order."""
+    x, y, scale = win
+    return sum(_eval_tree_oracle(t, integral, x, y, scale, inv_norm) for t in stage.trees)
+
+
+def evaluate_window_oracle(model, integral, win):
+    """The scalar window evaluator as first written, on 2-D table reads."""
+    inv_norm = inv_norm_oracle(model, integral, win)
+    for stage in model.stages:
+        if stage_total_oracle(stage, integral, win, inv_norm) < stage.threshold:
+            return False
+    return True
+
+
+def _mutual_overlap(a, b):
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = max(0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    return inter * 2 >= aw * ah and inter * 2 >= bw * bh
+
+
+def group_detections_oracle(raw, min_neighbors):
+    """Pairwise union-find over all raw hits, smallest index as root."""
+    parent = list(range(len(raw)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(raw)):
+        for j in range(i + 1, len(raw)):
+            if _mutual_overlap(raw[i], raw[j]):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(raw)):
+        groups.setdefault(find(i), []).append(raw[i])
+    out = []
+    for members in groups.values():
+        if len(members) < min_neighbors:
+            continue
+        arr = np.array(members, dtype=np.float64)
+        mean = arr.mean(axis=0)
+        bbox = tuple(int(round(v)) for v in mean)
+        out.append(haar_cascade.Detection(bbox, len(members)))
+    out.sort(key=lambda d: (d.bbox[0], d.bbox[1], d.bbox[2]))
+    return out
+
+
+def raw_hits_oracle(model, gray, scale_factor=1.1, step_fraction=1.0):
+    """Every window evaluate_window_oracle passes, as (x, y, w, h) in scan order."""
+    integral = integral_image(gray)
+    w0, h0 = model.window
+    raw = []
+    scale = 1.0
+    while w0 * scale < gray.width + 1 and h0 * scale < gray.height + 1:
+        ww = int(round(w0 * scale))
+        wh = int(round(h0 * scale))
+        if ww > gray.width or wh > gray.height:
+            break
+        stride = max(1, int(round(step_fraction * scale)))
+        for y in range(0, gray.height - wh + 1, stride):
+            for x in range(0, gray.width - ww + 1, stride):
+                if evaluate_window_oracle(model, integral, (x, y, scale)):
+                    raw.append((x, y, ww, wh))
+        scale *= scale_factor
+    return raw
+
+
+def detect_multiscale_oracle(model, gray, scale_factor=1.1, step_fraction=1.0, min_neighbors=1):
+    """The scalar detector: raw_hits_oracle grouped by group_detections_oracle."""
+    if gray.width < model.window[0] or gray.height < model.window[1]:
+        raise ImageTooSmall("frame smaller than window")
+    raw = raw_hits_oracle(model, gray, scale_factor, step_fraction)
+    return group_detections_oracle(raw, min_neighbors)
+
+
+def evaluate_at(model, integral, win):
+    """The library's evaluate_window on window (x, y, scale): compiles the
+    scale against flat views of `integral`, as detect_multiscale does."""
+    x, y, scale = win
+    row = integral.sum.shape[1]
+    scan = haar_cascade._ScaleScan(
+        model, memoryview(integral.sum.ravel()), memoryview(integral.sqsum.ravel()), row, scale
+    )
+    return haar_cascade.evaluate_window(scan, y * row + x)
 
 
 # ------------------------------------------------------ tracker oracles

@@ -1,7 +1,11 @@
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from handpose import rand
+from handpose import haar_cascade, rand
 from handpose.errors import (
     ImageTooSmall,
     RectOutOfWindow,
@@ -16,11 +20,25 @@ from handpose.haar_cascade import (
     WeightedRect,
     _scaled_rect,
     detect_multiscale,
-    evaluate_window,
     parse_cascade,
     serialize_cascade,
 )
-from handpose.imaging import Image, integral_image
+from handpose.imaging import Image, integral_image, luma
+
+from helpers import (
+    detect_multiscale_oracle,
+    evaluate_at,
+    evaluate_window_oracle,
+    feature_value_oracle,
+    group_detections_oracle,
+    inv_norm_oracle,
+    raw_hits_oracle,
+    stage_total_oracle,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import scenes  # noqa: E402
 
 MINIMAL_XML = """
 <cascade>
@@ -193,7 +211,7 @@ class TestDepthTwoTrees:
                         # threshold; these three thresholds pin the leaf
                         for thr in (-1.5, -0.5, 1.5):
                             model = CascadeModel((win, win), [Stage(thr, [tree])])
-                            got = evaluate_window(model, table, (x, y, float(scale)))
+                            got = evaluate_at(model, table, (x, y, float(scale)))
                             assert got == (want >= thr), (x, y, scale, thr)
         assert reached == {-2.0, -1.0, 1.0, 2.0}
 
@@ -225,7 +243,7 @@ class TestEvaluateWindow:
         table = integral_image(img)
         for y in range(7):
             for x in range(7):
-                assert evaluate_window(model, table, (x, y, 1.0))
+                assert evaluate_at(model, table, (x, y, 1.0))
 
     def test_constant_image_sigma_clamped_zero_feature(self):
         # zero-sum weights on a constant image -> feature value exactly 0
@@ -239,7 +257,7 @@ class TestEvaluateWindow:
         img = Image(np.full((8, 8), 99, dtype=np.uint8))
         table = integral_image(img)
         # whole-window sum*-1 + half-window sum*2 = 99*(-16+16) = 0 < 0.5 -> left -1 -> fail
-        assert not evaluate_window(model, table, (0, 0, 1.0))
+        assert not evaluate_at(model, table, (0, 0, 1.0))
 
     def test_feature_value_matches_brute_force(self):
         rng = rand.generator(51, 0)
@@ -268,9 +286,9 @@ class TestEvaluateWindow:
         # calibrated stump: passes iff value above midpoint of the two cases
         node = TreeNode(rects, threshold=brute - 1e-9, left_val=-1.0, right_val=1.0)
         model = CascadeModel((win, win), [Stage(0.5, [Tree([node])])])
-        assert evaluate_window(model, table, (0, 0, 1.0))
+        assert evaluate_at(model, table, (0, 0, 1.0))
         node.threshold = brute + 1e-6
-        assert not evaluate_window(model, table, (0, 0, 1.0))
+        assert not evaluate_at(model, table, (0, 0, 1.0))
 
     def test_random_features_match_brute_force(self):
         rng = rand.generator(52, 0)
@@ -292,9 +310,9 @@ class TestEvaluateWindow:
             node = TreeNode(rects, threshold=brute, left_val=0.0, right_val=1.0)
             model = CascadeModel((win, win), [Stage(0.5, [Tree([node])])])
             # value >= own threshold exactly -> right branch -> pass
-            assert evaluate_window(model, table, (0, 0, 1.0))
+            assert evaluate_at(model, table, (0, 0, 1.0))
             node.threshold = brute + 1e-6
-            assert not evaluate_window(model, table, (0, 0, 1.0))
+            assert not evaluate_at(model, table, (0, 0, 1.0))
 
 
 class TestScaledRects:
@@ -313,7 +331,7 @@ class TestScaledRects:
             for r in rects:
                 x, y, w, h = _scaled_rect(r, scale)
                 assert x + w <= win and y + h <= win, (scale, r)
-            evaluate_window(model, table, (fw - win, fh - win, scale))
+            evaluate_at(model, table, (fw - win, fh - win, scale))
             scale *= 1.1
 
 
@@ -423,11 +441,229 @@ class TestDetectMultiscale:
         one_stage = CascadeModel(model.window, [model.stages[0]])
         for y in range(0, img.height - 24, 7):
             for x in range(0, img.width - 24, 7):
-                if evaluate_window(two_stage, table, (x, y, 1.0)):
-                    assert evaluate_window(one_stage, table, (x, y, 1.0))
+                if evaluate_at(two_stage, table, (x, y, 1.0)):
+                    assert evaluate_at(one_stage, table, (x, y, 1.0))
 
     def test_deterministic(self):
         img, model = _planted_scene()
         a = detect_multiscale(model, img)
         b = detect_multiscale(model, img)
         assert a == b
+
+
+# ------------------------------------------------- exactness against oracles
+
+
+def _random_node(rng, win_w, win_h, **branches):
+    """2-3 rects inside the window; the first weighs -1 and the others
+    balance its area, so the feature straddles small thresholds."""
+    rects = []
+    for _ in range(int(rng.integers(2, 4))):
+        w, h = int(rng.integers(1, win_w + 1)), int(rng.integers(1, win_h + 1))
+        x, y = int(rng.integers(0, win_w - w + 1)), int(rng.integers(0, win_h - h + 1))
+        rects.append(WeightedRect(x, y, w, h, 0.0))
+    first = rects[0].w * rects[0].h
+    rects[0].weight = -1.0
+    for r in rects[1:]:
+        r.weight = first / (r.w * r.h * (len(rects) - 1)) * float(rng.uniform(0.8, 1.2))
+    return TreeNode(rects, threshold=float(rng.normal(0.0, 0.2)), **branches)
+
+
+def _random_cascade(rng, win_w, win_h):
+    """1-3 stages of 1-3 trees, each a stump or a depth-2 tree, with
+    arbitrary float leaves and thresholds."""
+
+    def leaves():
+        # magnitudes apart by up to 1e4, so a sum's rounding depends on its order
+        return {side: float(rng.normal() * 10 ** rng.uniform(-2, 2)) for side in ("left_val", "right_val")}
+
+    stages = []
+    for _ in range(int(rng.integers(1, 4))):
+        trees = []
+        for _ in range(int(rng.integers(1, 4))):
+            if rng.integers(0, 2):
+                nodes = [_random_node(rng, win_w, win_h, **leaves())]
+            else:
+                nodes = [
+                    _random_node(rng, win_w, win_h, left_child=1, right_child=2),
+                    _random_node(rng, win_w, win_h, **leaves()),
+                    _random_node(rng, win_w, win_h, **leaves()),
+                ]
+            trees.append(Tree(nodes))
+        stages.append(Stage(float(rng.uniform(-0.6, 0.6)) * len(trees), trees))
+    return CascadeModel((win_w, win_h), stages)
+
+
+def _random_frame(rng, kind, width, height):
+    """Textured, nearly flat (variance below 1) or constant pixels."""
+    if kind == "flat":
+        return Image(np.full((height, width), int(rng.integers(0, 256)), dtype=np.uint8))
+    if kind == "near-flat":
+        base = int(rng.integers(0, 255))
+        return Image((base + rng.integers(0, 2, size=(height, width))).astype(np.uint8))
+    return Image(rng.integers(0, 256, size=(height, width)).astype(np.uint8))
+
+
+def _scales(model, gray, scale_factor):
+    scale, out = 1.0, []
+    while round(model.window[0] * scale) <= gray.width and round(model.window[1] * scale) <= gray.height:
+        out.append(scale)
+        scale *= scale_factor
+    return out
+
+
+def _calibrate(rng, model, gray, scale_factor):
+    """Set about half the node thresholds and every stage threshold to the
+    exact oracle value at a random window, so that a value one ulp off the
+    oracle's flips that window's outcome."""
+    table = integral_image(gray)
+    scales = _scales(model, gray, scale_factor)
+
+    def random_window():
+        scale = scales[int(rng.integers(0, len(scales)))]
+        ww = int(round(model.window[0] * scale))
+        wh = int(round(model.window[1] * scale))
+        win = (int(rng.integers(0, gray.width - ww + 1)), int(rng.integers(0, gray.height - wh + 1)), scale)
+        return win, inv_norm_oracle(model, table, win)
+
+    for stage in model.stages:
+        for tree in stage.trees:
+            for node in tree.nodes:
+                if rng.integers(0, 2):
+                    (x, y, scale), inv_norm = random_window()
+                    node.threshold = feature_value_oracle(node, table, x, y, scale, inv_norm)
+        win, inv_norm = random_window()
+        stage.threshold = stage_total_oracle(stage, table, win, inv_norm)
+
+
+def _cases(seed, count):
+    rng = rand.generator(seed, 0)
+    for i in range(count):
+        win_w, win_h = int(rng.integers(5, 11)), int(rng.integers(5, 11))
+        model = _random_cascade(rng, win_w, win_h)
+        kind = ("textured", "textured", "near-flat", "flat")[i % 4]
+        gray = _random_frame(rng, kind, int(rng.integers(win_w, 40)), int(rng.integers(win_h, 32)))
+        scale_factor = float(rng.uniform(1.05, 1.25))
+        _calibrate(rng, model, gray, scale_factor)
+        yield rng, model, gray, scale_factor
+
+
+class TestScanExactness:
+    def test_every_window_at_every_scale_matches_oracle(self):
+        passed = total = 0
+        for _, model, gray, scale_factor in _cases(60, 24):
+            table = integral_image(gray)
+            row = gray.width + 1
+            sums, sqsums = memoryview(table.sum.ravel()), memoryview(table.sqsum.ravel())
+            for scale in _scales(model, gray, scale_factor):
+                ww = int(round(model.window[0] * scale))
+                wh = int(round(model.window[1] * scale))
+                scan = haar_cascade._ScaleScan(model, sums, sqsums, row, scale)
+                for y in range(gray.height - wh + 1):
+                    for x in range(gray.width - ww + 1):
+                        want = evaluate_window_oracle(model, table, (x, y, scale))
+                        assert haar_cascade.evaluate_window(scan, y * row + x) == want, (x, y, scale)
+                        passed += want
+                        total += 1
+        # both outcomes occur, so the comparison is not vacuous
+        assert 0.05 * total < passed < 0.95 * total
+
+    def test_detections_match_oracle_detector_on_random_frames(self):
+        hits = 0
+        for rng, model, gray, scale_factor in _cases(61, 24):
+            kwargs = dict(
+                scale_factor=scale_factor,
+                step_fraction=float(rng.uniform(1.0, 2.0)),
+                min_neighbors=int(rng.integers(1, 4)),
+            )
+            got = detect_multiscale(model, gray, **kwargs)
+            assert got == detect_multiscale_oracle(model, gray, **kwargs)
+            hits += sum(d.neighbors for d in got)
+        assert hits > 0
+
+
+@pytest.fixture(scope="module")
+def bench_frames():
+    """Luma frames of the benchmark with their oracle raw hits and oracle
+    detections: a search frame (no hits) and the first frame of the
+    44 px burst of reacquire variants 0 and 3 (about 1,200-1,300 hits)."""
+    frames = [
+        scenes.search_session(0).frames[0],
+        scenes.reacquire_session(0).frames[5],
+        scenes.reacquire_session(3).frames[5],
+    ]
+    model = scenes.brightness_cascade()
+    out = []
+    for frame in frames:
+        gray = luma(frame)
+        raw = raw_hits_oracle(model, gray)
+        out.append((gray, raw, group_detections_oracle(raw, 1)))
+    return model, out
+
+
+def _chain(n, step):
+    return [(i * step, i % 3, 10, 10) for i in range(n)]
+
+
+class TestGroupingExactness:
+    def test_bench_frames_match_oracle_detector(self, bench_frames):
+        model, frames = bench_frames
+        assert [len(raw) for _, raw, _ in frames][1:] > [1000, 1000]
+        for gray, _, want in frames:
+            assert detect_multiscale(model, gray) == want
+
+    def test_bench_raw_lists_match_oracle(self, bench_frames):
+        for _, raw, want in bench_frames[1][1:]:
+            got = haar_cascade._group_detections(raw, 1)
+            assert got == want
+            for d in got:
+                assert type(d.neighbors) is int
+                assert all(type(v) is int for v in d.bbox)
+
+    def test_grouping_peak_memory_is_blocked(self, bench_frames):
+        raw = max((raw for _, raw, _ in bench_frames[1]), key=len)
+        tracemalloc.start()
+        try:
+            haar_cascade._group_detections(raw, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [],
+            [(3, 4, 10, 12)],
+            [(5, 5, 9, 9)] * 40,
+            _chain(100, 2),  # each box overlaps only its neighbours
+            _chain(100, 2)[::-1],
+            _chain(70, 2)[::2] + _chain(70, 2)[1::2],  # joined only by the last links
+            _chain(50, 6),  # no two boxes overlap enough
+        ],
+        ids=["empty", "one", "identical", "chain", "reversed-chain", "interleaved-chain", "apart"],
+    )
+    @pytest.mark.parametrize("min_neighbors", [1, 2, 3])
+    def test_fixed_inputs_match_oracle(self, raw, min_neighbors):
+        assert haar_cascade._group_detections(raw, min_neighbors) == group_detections_oracle(raw, min_neighbors)
+
+    def test_random_inputs_match_oracle(self):
+        rng = rand.generator(62, 0)
+        for _ in range(900):
+            n = int(rng.integers(0, 50))
+            span = int(rng.integers(1, 60))
+            raw = [
+                (
+                    int(rng.integers(0, span)),
+                    int(rng.integers(0, span)),
+                    int(rng.integers(1, 16)),
+                    int(rng.integers(1, 16)),
+                )
+                for _ in range(n)
+            ]
+            min_neighbors = int(rng.integers(1, 4))
+            got = haar_cascade._group_detections(raw, min_neighbors)
+            assert got == group_detections_oracle(raw, min_neighbors)
+            for d in got:
+                assert type(d.neighbors) is int
+                assert all(type(v) is int for v in d.bbox)
