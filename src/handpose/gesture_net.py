@@ -1,9 +1,8 @@
 """The 10-class gesture classifier: network construction, dataset loading,
 training, evaluation and bit-exact weight serialization.
 
-Architecture: Conv(1->6,5x5) ReLU Pool Conv(6->16,3x3) ReLU Pool Flatten
-Dense(1600->120) ReLU Dense(120->84) ReLU Dense(84->10), for 48x48 binary
-inputs. 204,170 parameters total.
+The architecture, for 48x48 binary inputs, is written down once: the five
+PARAM_LAYERS inside the 12-layer chain of _chain.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from .errors import (
     BadMagic,
     ChecksumMismatch,
     EmptyClass,
+    LabelOutOfRange,
     NonContiguousLabels,
     ShapeMismatch,
     TruncatedBody,
@@ -32,7 +32,9 @@ from .tensor_nn import (
     Dense,
     Flatten,
     MaxPool2x2,
+    ParamLayer,
     ReLU,
+    initial_params,
     sgd_step,
     softmax,
     softmax_xent_batch,
@@ -40,12 +42,19 @@ from .tensor_nn import (
 
 INPUT_SIDE = 48
 NUM_CLASSES = 10
-PARAM_COUNT = 204_170
 # training: the learning rate is multiplied by LR_DECAY every DECAY_EVERY
 # epochs; evaluation predicts PREDICT_BATCH samples per forward pass
 LR_DECAY = 0.1
 DECAY_EVERY = 15
 PREDICT_BATCH = 256
+# the parameter layers in weight-file order: class and weight shape
+PARAM_LAYERS = (
+    (Conv2D, (6, 1, 5, 5)),
+    (Conv2D, (16, 6, 3, 3)),
+    (Dense, (120, 1600)),
+    (Dense, (84, 120)),
+    (Dense, (NUM_CLASSES, 84)),
+)
 
 
 class Network:
@@ -55,11 +64,11 @@ class Network:
         self.layers = list(layers)
 
     def params(self):
-        return [p for layer in self.layers for p in layer.params()]
+        return [layer for layer in self.layers if isinstance(layer, ParamLayer)]
 
     @property
     def param_count(self) -> int:
-        return sum(p.param_count for p in self.params())
+        return sum(p.w.size + p.b.size for p in self.params())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -84,23 +93,21 @@ class Network:
             p.b[...] = b
 
 
+def _chain(conv1, conv2, dense1, dense2, dense3) -> Network:
+    """The 12-layer network around the five PARAM_LAYERS."""
+    return Network([
+        conv1, ReLU(), MaxPool2x2(),
+        conv2, ReLU(), MaxPool2x2(), Flatten(),
+        dense1, ReLU(), dense2, ReLU(), dense3,
+    ])
+
+
 def build_network(seed: int) -> Network:
     """Deterministic float32 construction from a 64-bit seed."""
-    layers = [
-        Conv2D(1, 6, 5, seed=rand.derive_seed(seed, 1)),
-        ReLU(),
-        MaxPool2x2(),
-        Conv2D(6, 16, 3, seed=rand.derive_seed(seed, 2)),
-        ReLU(),
-        MaxPool2x2(),
-        Flatten(),
-        Dense(1600, 120, seed=rand.derive_seed(seed, 3)),
-        ReLU(),
-        Dense(120, 84, seed=rand.derive_seed(seed, 4)),
-        ReLU(),
-        Dense(84, 10, seed=rand.derive_seed(seed, 5)),
-    ]
-    return Network(layers)
+    layers = []
+    for i, (cls, shape) in enumerate(PARAM_LAYERS, 1):
+        layers.append(cls.from_arrays(*initial_params(shape, rand.derive_seed(seed, i), np.float32)))
+    return _chain(*layers)
 
 
 # ---------------------------------------------------------------- dataset
@@ -153,6 +160,8 @@ def load_dataset(root, mode: str = "otsu", threshold: int = 128) -> Dataset:
         raise NonContiguousLabels(f"class directories {labels} are not 0..{len(labels) - 1}")
     if not labels:
         raise EmptyClass(f"no class directories under {root}")
+    if len(labels) > NUM_CLASSES:
+        raise LabelOutOfRange(f"{len(labels)} class directories, the network has {NUM_CLASSES} classes")
     samples = []
     for d in sorted(label_dirs, key=lambda p: int(p.name)):
         files = sorted(d.glob("*.pgm"))
@@ -313,24 +322,23 @@ def save_weights(net: Network) -> bytes:
 
 
 def load_weights(data: bytes) -> Network:
-    """Parse a weight container into a freshly built network."""
+    """Parse a weight container into a network built around its arrays."""
     if len(data) < 12 + 4:
         raise TruncatedBody("weight file shorter than its fixed header")
     if data[:4] != WEIGHTS_MAGIC:
         raise BadMagic(f"bad magic {data[:4]!r}")
     (crc_stored,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != crc_stored:
+    body = memoryview(data)[:-4]  # no copy of the file's bytes
+    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
         raise ChecksumMismatch("CRC32 mismatch")
     version, count = struct.unpack("<II", data[4:12])
     if version != WEIGHTS_VERSION:
         raise VersionMismatch(f"unsupported version {version}")
-    net = build_network(seed=0)
-    params = net.params()
-    if count != len(params):
-        raise ShapeMismatch(f"expected {len(params)} layer records, found {count}")
+    if count != len(PARAM_LAYERS):
+        raise ShapeMismatch(f"expected {len(PARAM_LAYERS)} layer records, found {count}")
     pos = 12
-    body = data[:-4]
-    for p in params:
+    layers = []
+    for cls, shape in PARAM_LAYERS:
         try:
             kind, rank = struct.unpack_from("<BI", body, pos)
             pos += 5
@@ -338,21 +346,20 @@ def load_weights(data: bytes) -> Network:
             pos += 4 * rank
         except struct.error as exc:
             raise TruncatedBody("layer record header truncated") from exc
-        if kind != _KIND_CODES[p.kind] or dims != p.w.shape:
-            raise ShapeMismatch(f"layer record {dims} does not match network {p.w.shape}")
-        n_w = int(np.prod(dims))
-        n_b = p.b.size
-        need = 4 * (n_w + n_b)
-        if pos + need > len(body):
+        if kind != _KIND_CODES[cls.kind] or dims != shape:
+            raise ShapeMismatch(f"layer record {dims} does not match network {shape}")
+        n_w, n_b = int(np.prod(dims)), shape[0]
+        if pos + 4 * (n_w + n_b) > len(body):
             raise TruncatedBody("weight payload truncated")
-        p.w[...] = np.frombuffer(body, dtype="<f4", count=n_w, offset=pos).reshape(dims)
+        # astype copies: owned, writable, native float32 arrays
+        w = np.frombuffer(body, "<f4", n_w, pos).reshape(dims).astype(np.float32)
         pos += 4 * n_w
-        p.b[...] = np.frombuffer(body, dtype="<f4", count=n_b, offset=pos)
+        layers.append(cls.from_arrays(w, np.frombuffer(body, "<f4", n_b, pos).astype(np.float32)))
         pos += 4 * n_b
-        _require_finite(p)
+        _require_finite(layers[-1])
     if pos != len(body):
         raise ShapeMismatch("trailing bytes after last layer record")
-    return net
+    return _chain(*layers)
 
 
 def classify_mask(net: Network, mask: BinaryMask):

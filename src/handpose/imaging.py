@@ -116,10 +116,6 @@ class IntegralTable:
         s = self.sum
         return int(s[y + h, x + w] - s[y, x + w] - s[y + h, x] + s[y, x])
 
-    def rect_sqsum(self, x: int, y: int, w: int, h: int) -> int:
-        s = self.sqsum
-        return int(s[y + h, x + w] - s[y, x + w] - s[y + h, x] + s[y, x])
-
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     n = len(data)

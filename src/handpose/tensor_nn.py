@@ -4,7 +4,8 @@ dense, softmax cross-entropy and momentum SGD.
 Layers operate on float32 by default (float64 available for verification).
 Forward accepts a single sample [C,H,W] / [features] or a batch with a
 leading N axis; gradients accumulate into the layer's grad buffers and are
-expected to hold batch means by the time sgd_step runs.
+expected to hold batch means by the time sgd_step runs. Only training
+writes those buffers.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ from . import rand
 from .errors import LabelOutOfRange, OddDimension, ShapeMismatch
 
 
-def _glorot_uniform(shape, fan_in, fan_out, seed, dtype):
-    s = np.sqrt(6.0 / (fan_in + fan_out))
-    n = int(np.prod(shape))
-    return rand.uniform(seed, n, -s, s).reshape(shape).astype(dtype)
+def initial_params(shape, seed, dtype):
+    """Glorot-uniform weights of shape [out, in, *kernel], whose fans count
+    kernel cells, and a zero bias."""
+    receptive = int(np.prod(shape[2:]))
+    s = np.sqrt(6.0 / ((shape[0] + shape[1]) * receptive))
+    w = rand.uniform(seed, int(np.prod(shape)), -s, s).reshape(shape).astype(dtype)
+    return w, np.zeros(shape[0], dtype)
 
 
 class Layer:
-    """Base layer; parameter-free by default."""
-
-    def params(self):
-        return ()
+    """Base layer; parameter-free unless it is a ParamLayer."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -35,28 +36,30 @@ class Layer:
 
 
 class ParamLayer(Layer):
-    """Layer holding weights/bias plus grad and momentum buffers."""
+    """Layer around weights w and bias b; its geometry is w.shape. The grad
+    (gw, gb) and momentum (vw, vb) buffers come from np.zeros, which writes
+    no fresh pages; backward and sgd_step are the first to write them."""
 
     kind: str
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w = w
         self.b = b
-        self.gw = np.zeros_like(w)
-        self.gb = np.zeros_like(b)
-        self.vw = np.zeros_like(w)
-        self.vb = np.zeros_like(b)
+        self.gw = np.zeros(w.shape, w.dtype)
+        self.gb = np.zeros(b.shape, b.dtype)
+        self.vw = np.zeros(w.shape, w.dtype)
+        self.vb = np.zeros(b.shape, b.dtype)
 
-    def params(self):
-        return (self,)
+    @classmethod
+    def from_arrays(cls, w: np.ndarray, b: np.ndarray):
+        """A layer around existing arrays, with no weight draw."""
+        layer = cls.__new__(cls)
+        ParamLayer.__init__(layer, w, b)
+        return layer
 
     def zero_grad(self):
         self.gw[...] = 0
         self.gb[...] = 0
-
-    @property
-    def param_count(self) -> int:
-        return self.w.size + self.b.size
 
 
 def _as_batch(x: np.ndarray, rank: int):
@@ -76,19 +79,14 @@ class Conv2D(ParamLayer):
     """Valid cross-correlation, stride 1. Weights [outC, inC, kH, kW]."""
 
     kind = "conv"
+    _cols = _in_shape = None
 
     def __init__(self, in_c, out_c, k, seed=0, dtype=np.float32):
-        fan_in = in_c * k * k
-        fan_out = out_c * k * k
-        w = _glorot_uniform((out_c, in_c, k, k), fan_in, fan_out, seed, dtype)
-        super().__init__(w, np.zeros(out_c, dtype=dtype))
-        self.in_c, self.out_c, self.k = in_c, out_c, k
-        self._cols = None
-        self._in_shape = None
+        super().__init__(*initial_params((out_c, in_c, k, k), seed, dtype))
 
     def _im2col(self, x):
         n, c, h, w = x.shape
-        k = self.k
+        k = self.w.shape[-1]
         win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
         # (N, C, oH, oW, k, k) -> (N, C*k*k, oH*oW)
         oh, ow = h - k + 1, w - k + 1
@@ -98,21 +96,22 @@ class Conv2D(ParamLayer):
     def forward(self, x):
         x, single = _as_batch(x, 3)
         n, c, h, w = x.shape
-        if c != self.in_c:
-            raise ShapeMismatch(f"conv expects {self.in_c} channels, got {c}")
-        if h < self.k or w < self.k:
-            raise ShapeMismatch(f"input {h}x{w} smaller than kernel {self.k}")
+        out_c, in_c, k, _ = self.w.shape
+        if c != in_c:
+            raise ShapeMismatch(f"conv expects {in_c} channels, got {c}")
+        if h < k or w < k:
+            raise ShapeMismatch(f"input {h}x{w} smaller than kernel {k}")
         cols, oh, ow = self._im2col(x)
         self._cols = cols
         self._in_shape = x.shape
-        wf = self.w.reshape(self.out_c, -1)
+        wf = self.w.reshape(out_c, -1)
         out = np.einsum("of,nfp->nop", wf, cols) + self.b[None, :, None]
-        return _unbatch(out.reshape(n, self.out_c, oh, ow), single)
+        return _unbatch(out.reshape(n, out_c, oh, ow), single)
 
     def backward(self, grad_out):
         grad_out, single = _as_batch(grad_out, 3)
         n, oc, oh, ow = grad_out.shape
-        if oc != self.out_c or self._cols is None:
+        if oc != self.w.shape[0] or self._cols is None:
             raise ShapeMismatch("backward shape inconsistent with last forward")
         g = grad_out.reshape(n, oc, oh * ow)
         self.gw += np.einsum("nop,nfp->of", g, self._cols).reshape(self.w.shape)
@@ -121,7 +120,7 @@ class Conv2D(ParamLayer):
         gcols = np.einsum("of,nop->nfp", wf, g)
         # scatter-add columns back to the input raster
         _, c, h, w = self._in_shape
-        k = self.k
+        k = self.w.shape[-1]
         gx = np.zeros(self._in_shape, dtype=grad_out.dtype)
         gcols = gcols.reshape(n, c, k, k, oh, ow)
         for dy in range(k):
@@ -133,9 +132,7 @@ class Conv2D(ParamLayer):
 class MaxPool2x2(Layer):
     """Disjoint 2x2 max pooling; ties go to the first cell in row-major order."""
 
-    def __init__(self):
-        self._argmax = None
-        self._in_shape = None
+    _argmax = _in_shape = None
 
     def forward(self, x):
         x, single = _as_batch(x, 3)
@@ -165,8 +162,7 @@ class MaxPool2x2(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._mask = None
+    _mask = None
 
     def forward(self, x):
         self._mask = x > 0
@@ -179,8 +175,7 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
-    def __init__(self):
-        self._in_shape = None
+    _in_shape = None
 
     def forward(self, x):
         x, single = _as_batch(x, 3)
@@ -196,23 +191,21 @@ class Dense(ParamLayer):
     """Affine map out = W x + b. Weights [out, in]."""
 
     kind = "dense"
+    _x = None
 
     def __init__(self, in_n, out_n, seed=0, dtype=np.float32):
-        w = _glorot_uniform((out_n, in_n), in_n, out_n, seed, dtype)
-        super().__init__(w, np.zeros(out_n, dtype=dtype))
-        self.in_n, self.out_n = in_n, out_n
-        self._x = None
+        super().__init__(*initial_params((out_n, in_n), seed, dtype))
 
     def forward(self, x):
         x, single = _as_batch(x, 1)
-        if x.shape[1] != self.in_n:
-            raise ShapeMismatch(f"dense expects {self.in_n} inputs, got {x.shape[1]}")
+        if x.shape[1] != self.w.shape[1]:
+            raise ShapeMismatch(f"dense expects {self.w.shape[1]} inputs, got {x.shape[1]}")
         self._x = x
         return _unbatch(x @ self.w.T + self.b, single)
 
     def backward(self, grad_out):
         grad_out, single = _as_batch(grad_out, 1)
-        if grad_out.shape[1] != self.out_n or self._x is None:
+        if grad_out.shape[1] != self.w.shape[0] or self._x is None:
             raise ShapeMismatch("backward shape inconsistent with last forward")
         self.gw += grad_out.T @ self._x
         self.gb += grad_out.sum(axis=0)

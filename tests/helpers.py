@@ -74,6 +74,12 @@ def rgb_to_ycbcr_oracle(pixels):
     return np.clip(rounded, 0, 255).astype(np.uint8)
 
 
+def rect_sqsum(integral, x, y, w, h):
+    """Sum of squared pixels over a rect, from the squared-sum table."""
+    s = integral.sqsum
+    return int(s[y + h, x + w] - s[y, x + w] - s[y + h, x] + s[y, x])
+
+
 def brute_rect_sum(pixels, x, y, w, h):
     total = 0
     for yy in range(y, y + h):
@@ -185,7 +191,7 @@ def inv_norm_oracle(model, integral, win):
         raise IndexError(f"window ({x},{y},{ww},{wh}) outside frame")
     area = ww * wh
     mean = integral.rect_sum(x, y, ww, wh) / area
-    var = integral.rect_sqsum(x, y, ww, wh) / area - mean * mean
+    var = rect_sqsum(integral, x, y, ww, wh) / area - mean * mean
     sigma = np.sqrt(max(var, 0.0))
     if sigma < 1.0:
         sigma = 1.0

@@ -155,6 +155,20 @@ def _train_args(per_class, *flags):
     return args
 
 
+def _eval_args(classes):
+    def args(tmp_path):
+        root = tmp_path / "data"
+        for label in range(classes):
+            sub = root / str(label)
+            sub.mkdir(parents=True)
+            sub.joinpath("0.pgm").write_bytes(save_pnm(Image(np.zeros((48, 48, 1), dtype=np.uint8))))
+        weights = tmp_path / "w.hgw"
+        weights.write_bytes(gesture_net.save_weights(zero_network()))
+        return ["eval", "--data", str(root), "--weights", str(weights), "--report", str(tmp_path / "cm.csv")]
+
+    return args
+
+
 def _poisoned_weights_args(tmp_path):
     weights = tmp_path / "w.hgw"
     weights.write_bytes(poisoned_weights(zero_network(), np.nan))
@@ -178,6 +192,7 @@ BAD_INPUTS = {
     "lr-nan": (_train_args(2, "--lr", "nan"), "learning_rate"),
     "lr-inf": (_train_args(2, "--lr", "inf"), "learning_rate"),
     "weights-nan": (_poisoned_weights_args, "non-finite"),
+    "eval-12-classes": (_eval_args(12), "12 class directories, the network has 10 classes"),
 }
 
 

@@ -16,7 +16,6 @@ from handpose.errors import (
     WrongSize,
 )
 from handpose.gesture_net import (
-    PARAM_COUNT,
     ConfusionMatrix,
     Dataset,
     Hyper,
@@ -35,14 +34,19 @@ from handpose.imaging import BinaryMask, Image, save_pnm
 from handpose.tensor_nn import softmax
 
 
+def with_crc(blob: bytearray) -> bytes:
+    """`blob` with its trailing CRC32 made valid again."""
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    return bytes(blob)
+
+
 def poisoned_weights(net: Network, value: float) -> bytes:
     """The weight file of `net` with conv1's first weight set to `value`
     and the CRC32 made valid again."""
     blob = bytearray(save_weights(net))
     # 12-byte file header, then conv1's record head: kind, rank, 4 dims
     struct.pack_into("<f", blob, 12 + 1 + 4 + 4 * 4, value)
-    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
-    return bytes(blob)
+    return with_crc(blob)
 
 
 def zero_network() -> Network:
@@ -66,7 +70,7 @@ class TestBuildNetwork:
 
     def test_parameter_count(self):
         # outC*(inC*kH*kW+1) and out*(in+1): 156+880+192120+10164+850
-        assert build_network(0).param_count == PARAM_COUNT == 204_170
+        assert build_network(0).param_count == 204_170
 
     def test_zero_network_uniform_softmax(self):
         net = zero_network()
@@ -273,9 +277,57 @@ class TestWeightFile:
     def test_version_mismatch(self):
         blob = bytearray(save_weights(build_network(12)))
         blob[4:8] = struct.pack("<I", 99)
-        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
         with pytest.raises(VersionMismatch):
-            load_weights(bytes(blob))
+            load_weights(with_crc(blob))
+
+    # conv1's record head starts after the 12-byte file header: kind code
+    # at 12, rank at 13, dims from 17
+    @pytest.mark.parametrize(
+        "offset, field, match",
+        [
+            (8, struct.pack("<I", 4), "expected 5 layer records, found 4"),
+            (12, bytes([2]), r"layer record \(6, 1, 5, 5\) does not match"),
+            (17, struct.pack("<I", 7), r"layer record \(7, 1, 5, 5\) does not match"),
+        ],
+        ids=["record-count", "kind-code", "dims"],
+    )
+    def test_record_mismatch(self, offset, field, match):
+        blob = bytearray(save_weights(build_network(14)))
+        blob[offset : offset + len(field)] = field
+        with pytest.raises(ShapeMismatch, match=match):
+            load_weights(with_crc(blob))
+
+    def test_trailing_bytes(self):
+        blob = save_weights(build_network(15))
+        with pytest.raises(ShapeMismatch, match="trailing bytes"):
+            load_weights(with_crc(bytearray(blob[:-4] + bytes(8))))
+
+    def test_loaded_arrays_are_owned_float32_copies(self):
+        for p in load_weights(save_weights(build_network(16))).params():
+            for a in (p.w, p.b):
+                assert a.dtype == np.float32 and a.dtype.isnative
+                assert a.flags.owndata and a.flags.writeable
+
+    def test_load_draws_no_weights(self, monkeypatch):
+        blob = save_weights(build_network(17))
+        draws = []
+        uniform = rand.uniform
+        monkeypatch.setattr(rand, "uniform", lambda *a: draws.append(a) or uniform(*a))
+        load_weights(blob)
+        assert draws == []
+        build_network(17)  # the spy does see the draws of a built network
+        assert len(draws) == 5
+
+    def test_loaded_network_trains_like_built(self):
+        # the loaded layers carry working grad and momentum buffers
+        data = _toy_two_class_dataset()
+        hyper = Hyper(learning_rate=0.01, momentum=0.9, batch_size=16, epochs=2, seed=18)
+        built = build_network(18)
+        start = save_weights(built)
+        loaded = load_weights(start)
+        train(built, data, hyper)
+        train(loaded, data, hyper)
+        assert save_weights(loaded) == save_weights(built) != start
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, value):

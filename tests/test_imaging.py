@@ -19,7 +19,7 @@ from handpose.imaging import (
     rgb_to_ycbcr,
     save_pnm,
 )
-from helpers import brute_rect_sum, rgb_to_ycbcr_oracle
+from helpers import brute_rect_sum, rect_sqsum, rgb_to_ycbcr_oracle
 
 
 class TestLoadPnm:
@@ -200,7 +200,7 @@ class TestIntegralImage:
     def test_sqsum_constant(self):
         img = Image(np.full((5, 3), 7, dtype=np.uint8))
         table = integral_image(img)
-        assert table.rect_sqsum(0, 0, 3, 5) == 15 * 49
+        assert rect_sqsum(table, 0, 0, 3, 5) == 15 * 49
 
     def test_rejects_rgb(self):
         with pytest.raises(WrongChannelCount):
