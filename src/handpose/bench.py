@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class BenchReport:
     op: str
     warmup: int
     samples_ms: list
-    environment: str = field(default_factory=platform.platform)
 
     def stats(self) -> dict:
         return latency_stats(self.samples_ms)
@@ -34,7 +33,7 @@ class BenchReport:
             "iterations": len(self.samples_ms),
             "warmup": self.warmup,
             "samples_ms": list(self.samples_ms),
-            "environment": self.environment,
+            "environment": platform.platform(),
             "reference": REFERENCE_NOTE,
             **self.stats(),
         }

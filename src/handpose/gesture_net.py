@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +116,6 @@ def build_network(seed: int) -> Network:
 @dataclass
 class Dataset:
     samples: list  # (BinaryMask 48x48, label)
-    class_names: list = field(default_factory=lambda: [f"class{i}" for i in range(NUM_CLASSES)])
 
     def __len__(self):
         return len(self.samples)
@@ -268,8 +267,7 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
 
 @dataclass
 class ConfusionMatrix:
-    counts: np.ndarray  # [true, predicted]
-    class_names: list
+    counts: np.ndarray  # [true, predicted], NUM_CLASSES x NUM_CLASSES
 
     @property
     def accuracy(self) -> float:
@@ -277,7 +275,7 @@ class ConfusionMatrix:
         return float(np.trace(self.counts)) / total if total else 0.0
 
     def to_csv(self) -> str:
-        lines = [",".join(self.class_names)]
+        lines = [",".join(f"class{i}" for i in range(NUM_CLASSES))]
         for row in self.counts:
             lines.append(",".join(str(int(v)) for v in row))
         lines.append(f"accuracy,{self.accuracy:.4f}")
@@ -288,7 +286,7 @@ def evaluate(net: Network, data: Dataset):
     x, y = data.as_arrays()
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(counts, (y, _predict_all(net, x)), 1)
-    cm = ConfusionMatrix(counts, data.class_names)
+    cm = ConfusionMatrix(counts)
     return cm, cm.accuracy
 
 

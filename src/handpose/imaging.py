@@ -84,12 +84,6 @@ class BinaryMask:
         """Export as grayscale with 0/255 values."""
         return Image(np.where(self.bits, 255, 0).astype(np.uint8))
 
-    @staticmethod
-    def from_image(img: Image, threshold: int = 128) -> "BinaryMask":
-        if img.channels != 1:
-            raise WrongChannelCount("mask source must be grayscale")
-        return BinaryMask(img.pixels[:, :, 0] >= threshold)
-
     def __repr__(self):
         return f"BinaryMask({self.width}x{self.height})"
 
@@ -103,14 +97,6 @@ class IntegralTable:
     def __init__(self, sum_table: np.ndarray, sqsum_table: np.ndarray | None):
         self.sum = sum_table
         self.sqsum = sqsum_table
-
-    @property
-    def width(self) -> int:
-        return self.sum.shape[1] - 1
-
-    @property
-    def height(self) -> int:
-        return self.sum.shape[0] - 1
 
     def rect_sum(self, x: int, y: int, w: int, h: int) -> int:
         s = self.sum

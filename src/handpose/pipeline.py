@@ -4,7 +4,7 @@ segment the tracked region, classify the 48x48 mask, smooth labels.
 The state machine has exactly two modes. DETECTING runs the cascade on
 the luma frame and, on a hit, derives the tracked wrist box and starts
 the tracker. TRACKING advances the tracker, drops back to DETECTING when
-confidence falls below the configured threshold or the frame cannot be
+confidence falls below its threshold or the frame cannot be
 tracked or segmented (its size changed, or it is gray), and otherwise
 segments around the tracked box and classifies.
 """
@@ -33,7 +33,7 @@ class PipelineConfig:
     skin_model: skin_segment.SkinModel
     network: gesture_net.Network
     cascade: haar_cascade.CascadeModel
-    confidence_threshold: float = 0.0
+    confidence_threshold: ClassVar[float] = 0.0
     smoothing_window: ClassVar[int] = 5
     # tracked box = square of side size_ratio*min(det_w, det_h), centered
     # horizontally, its center at det_y + vertical_anchor*det_h

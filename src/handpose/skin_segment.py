@@ -68,7 +68,6 @@ class SkinModel:
 class ComponentInfo:
     area: int
     bbox: tuple  # (x, y, w, h)
-    centroid: tuple  # (cx, cy) floats
 
 
 def _six_planes(img: Image) -> list:
@@ -188,8 +187,6 @@ def label_components(mask: BinaryMask):
     k = int(is_root.sum())
     idx = run_label - 1
     area = np.bincount(idx, weights=length, minlength=k)
-    sum_x = np.bincount(idx, weights=length * (sx + ex - 1) // 2, minlength=k)
-    sum_y = np.bincount(idx, weights=length * row, minlength=k)
     x0 = np.full(k, w)
     np.minimum.at(x0, idx, sx)
     x1 = np.zeros(k, dtype=np.intp)
@@ -198,10 +195,8 @@ def label_components(mask: BinaryMask):
     y1 = np.zeros(k, dtype=np.intp)
     np.maximum.at(y1, idx, row)
     infos = [
-        ComponentInfo(int(ar), (x, y, xe - x, ye - y + 1), (cx / ar, cy / ar))
-        for ar, x, y, xe, ye, cx, cy in zip(
-            area.tolist(), x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist(), sum_x.tolist(), sum_y.tolist()
-        )
+        ComponentInfo(int(ar), (x, y, xe - x, ye - y + 1))
+        for ar, x, y, xe, ye in zip(area.tolist(), x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist())
     ]
     return labels, infos
 
@@ -257,9 +252,4 @@ def extract_hand_patch(img: Image, model: SkinModel, roi=None):
     crop = BinaryMask(mask.bits[y0 : y0 + side, x0 : x0 + side])
     patch = resize_nearest(crop, 48, 48)
     bx, by, bw, bh = comp.bbox
-    comp = ComponentInfo(
-        comp.area,
-        (bx + ox, by + oy, bw, bh),
-        (comp.centroid[0] + ox, comp.centroid[1] + oy),
-    )
-    return patch, comp
+    return patch, ComponentInfo(comp.area, (bx + ox, by + oy, bw, bh))

@@ -219,15 +219,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss of one sample and its gradient w.r.t. the logits."""
-    k = logits.shape[-1]
-    if not 0 <= label < k:
-        raise LabelOutOfRange(f"label {label} outside [0, {k})")
-    p = softmax(logits.astype(np.float64))
-    loss = -np.log(max(p[label], np.finfo(np.float64).tiny))
-    grad = p.copy()
-    grad[label] -= 1.0
-    return float(loss), grad.astype(logits.dtype)
+    """Cross-entropy loss of one sample and its gradient w.r.t. the logits:
+    softmax_xent_batch on a batch of one."""
+    loss, grad = softmax_xent_batch(logits[None], [label])
+    return loss, grad[0]
 
 
 def softmax_xent_batch(logits: np.ndarray, labels: np.ndarray):

@@ -131,7 +131,7 @@ def flood_fill_label_oracle(bits):
             ys = np.array([p[0] for p in pts])
             xs = np.array([p[1] for p in pts])
             bbox = (int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
-            infos.append(ComponentInfo(len(pts), bbox, (float(xs.mean()), float(ys.mean()))))
+            infos.append(ComponentInfo(len(pts), bbox))
     return labels, infos
 
 
@@ -187,7 +187,8 @@ def inv_norm_oracle(model, integral, win):
     x, y, scale = win
     ww = int(round(model.window[0] * scale))
     wh = int(round(model.window[1] * scale))
-    if x < 0 or y < 0 or x + ww > integral.width or y + wh > integral.height:
+    height, width = (n - 1 for n in integral.sum.shape)
+    if x < 0 or y < 0 or x + ww > width or y + wh > height:
         raise IndexError(f"window ({x},{y},{ww},{wh}) outside frame")
     area = ww * wh
     mean = integral.rect_sum(x, y, ww, wh) / area

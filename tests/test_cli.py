@@ -103,7 +103,9 @@ class TestExitCodes:
         img.write_bytes(save_pnm(Image(np.zeros((10, 10, 1), dtype=np.uint8))))
         code = main(["classify", "--image", str(img), "--weights", str(zero_weights)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "48x48" in err
 
 
 def _detect_args(model, *flags):
@@ -126,18 +128,28 @@ def _stray_child_cascade(child):
     return model
 
 
-def _skin_bound_args(bound):
+def _segment_args(skin_text, frame):
     def args(tmp_path):
-        lines = flat_skin_model().to_text().splitlines()
-        name, lo, _ = lines[1].split()
-        lines[1] = f"{name} {lo} {bound}"
         model = tmp_path / "skin.txt"
-        model.write_text("\n".join(lines) + "\n")
-        frame = tmp_path / "frame.ppm"
-        frame.write_bytes(save_pnm(scene((50, 40))))
-        return ["segment", "--image", str(frame), "--model", str(model), "--out", str(tmp_path / "o.pgm")]
+        model.write_text(skin_text)
+        frame_path = tmp_path / "frame.ppm"
+        frame_path.write_bytes(save_pnm(frame))
+        return ["segment", "--image", str(frame_path), "--model", str(model), "--out", str(tmp_path / "o.pgm")]
 
     return args
+
+
+def _skin_bound_args(bound):
+    lines = flat_skin_model().to_text().splitlines()
+    name, lo, _ = lines[1].split()
+    lines[1] = f"{name} {lo} {bound}"
+    return _segment_args("\n".join(lines) + "\n", scene((50, 40)))
+
+
+def _no_hand_args(tmp_path):
+    frame = np.empty((60, 80, 3), dtype=np.uint8)
+    frame[:, :] = BG_COLOR
+    return _segment_args(flat_skin_model().to_text(), Image(frame))(tmp_path)
 
 
 def _train_args(per_class, *flags):
@@ -188,6 +200,7 @@ BAD_INPUTS = {
     "skin-bound-overflow": (_skin_bound_args("99999999999999999999"), "channel G"),
     "skin-bound-256": (_skin_bound_args("256"), "channel G"),
     "skin-bound-1e3": (_skin_bound_args("1e3"), "channel G"),
+    "segment-no-hand": (_no_hand_args, "no hand region found"),
     "one-image-per-class": (_train_args(1), "validation split is empty"),
     "lr-nan": (_train_args(2, "--lr", "nan"), "learning_rate"),
     "lr-inf": (_train_args(2, "--lr", "inf"), "learning_rate"),
@@ -260,18 +273,6 @@ class TestFitSkinAndSegment:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "line 2" in err and "Traceback" not in err
         assert not (tmp_path / "skin.txt").exists()
-
-    def test_segment_no_hand_exits_one(self, capsys, tmp_path):
-        model_path = tmp_path / "skin.txt"
-        model_path.write_text(flat_skin_model().to_text())
-        frame = np.empty((60, 80, 3), dtype=np.uint8)
-        frame[:, :] = BG_COLOR
-        frame_path = tmp_path / "empty.ppm"
-        frame_path.write_bytes(save_pnm(Image(frame)))
-        code = main(
-            ["segment", "--image", str(frame_path), "--model", str(model_path), "--out", str(tmp_path / "o.pgm")]
-        )
-        assert code == 1
 
 
 class TestTrainEval:

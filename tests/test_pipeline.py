@@ -150,8 +150,9 @@ class TestAdvance:
         assert state.tracker is not None
         assert out.mode == DETECTING  # mode the frame was processed in
 
-    def test_low_confidence_drops_to_detecting(self):
-        cfg = synthetic_config(confidence_threshold=1e9)
+    def test_low_confidence_drops_to_detecting(self, monkeypatch):
+        monkeypatch.setattr(PipelineConfig, "confidence_threshold", 1e9)
+        cfg = synthetic_config()
         frame = scene((40, 40))
         state, _ = advance(PipelineState(), frame, cfg)
         assert state.mode == TRACKING

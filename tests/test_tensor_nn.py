@@ -240,6 +240,18 @@ class TestSoftmaxXent:
         assert np.isclose(loss_b, np.mean([s[0] for s in singles]))
         assert np.allclose(grad_b, np.stack([s[1] for s in singles]) / 4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_is_batch_of_one(self, dtype):
+        rng = rand.generator(20, 0)
+        for _ in range(200):
+            row = (rng.normal(scale=10.0 ** rng.integers(-3, 3), size=10)).astype(dtype)
+            label = int(rng.integers(10))
+            loss, grad = softmax_xent(row, label)
+            loss_b, grad_b = softmax_xent_batch(row[None], [label])
+            assert loss == loss_b
+            assert grad.dtype == grad_b.dtype == dtype
+            assert grad.tobytes() == grad_b[0].tobytes()
+
 
 class TestSgdStep:
     def test_zero_grad_no_change(self):
