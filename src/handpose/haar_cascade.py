@@ -24,6 +24,7 @@ XML grammar (children in any order, unknown elements are errors):
               (more nodes for depth-2 trees; node 0 is the root)
               (a child index I is an integer with own index < I < node
                count, so every path ends at a leaf value)
+              (every F, rect weights included, is a finite float)
             </tree>
           </trees>
         </stage>
@@ -103,11 +104,18 @@ def _get_one(elem, tag):
     return found[0]
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise SchemaViolation(f"{what} {value} is not finite")
+    return value
+
+
 def _float(elem):
     try:
-        return float(elem.text.strip())
+        value = float(elem.text.strip())
     except (TypeError, ValueError, AttributeError) as exc:
         raise SchemaViolation(f"<{elem.tag}> is not a number") from exc
+    return _finite(value, f"<{elem.tag}>")
 
 
 def _child_index(elem, own, n_nodes, where) -> int:
@@ -139,7 +147,7 @@ def _parse_node(elem, own, n_nodes, where):
             weight = float(parts[4])
         except ValueError as exc:
             raise SchemaViolation(f"{where}: malformed <rect> {r.text!r}") from exc
-        rects.append(WeightedRect(x, y, w, h, weight))
+        rects.append(WeightedRect(x, y, w, h, _finite(weight, f"{where}: rect weight")))
     if len(rects) < 2:
         raise SchemaViolation(f"{where}: feature needs at least 2 rects")
     weights = [r.weight for r in rects]
@@ -259,42 +267,29 @@ def _scaled_rect(r: WeightedRect, scale: float):
 GROUP_BLOCK = 16
 
 
-class _ScaleScan:
-    """One scale of the scan, compiled against one frame's tables.
+def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int):
+    """One scale of the scan, compiled against one frame's tables, as the
+    tuple evaluate_window reads: flat int views of the sum and squared-sum
+    tables, the window area, the window's top-right, bottom-left and
+    bottom-right corner offsets, then the stages. A window is named by
+    the flat index `base` of its top-left corner. Each node keeps its
+    rects as (weight, top-left, top-right, bottom-left, bottom-right)
+    offsets from `base`, then its threshold, left_val, left_child,
+    right_val and right_child."""
 
-    `sums` and `sqsums` are flat int views of the two summed-area tables,
-    `row` their row length. A window is named by the flat index `base` of
-    its top-left corner, y * row + x; `corners` holds the other three
-    corner offsets. Each node keeps its rects as (weight, top-left,
-    top-right, bottom-left, bottom-right) offsets from `base`, then its
-    threshold, left_val, left_child, right_val and right_child.
-    """
+    def compile_node(node):
+        rects = tuple((r.weight, *integral.corners(*_scaled_rect(r, scale))) for r in node.rects)
+        return rects, node.threshold, node.left_val, node.left_child, node.right_val, node.right_child
 
-    __slots__ = ("sums", "sqsums", "area", "corners", "stages")
-
-    def __init__(self, model: CascadeModel, sums, sqsums, row: int, scale: float):
-        def corners(x, y, w, h):
-            tl = y * row + x
-            return tl, tl + w, tl + h * row, tl + h * row + w
-
-        ww = int(round(model.window[0] * scale))
-        wh = int(round(model.window[1] * scale))
-        self.sums = sums
-        self.sqsums = sqsums
-        self.area = ww * wh
-        self.corners = corners(0, 0, ww, wh)[1:]
-
-        def compile_node(node):
-            rects = tuple((r.weight, *corners(*_scaled_rect(r, scale))) for r in node.rects)
-            return rects, node.threshold, node.left_val, node.left_child, node.right_val, node.right_child
-
-        self.stages = tuple(
-            (stage.threshold, tuple(tuple(compile_node(n) for n in t.nodes) for t in stage.trees))
-            for stage in model.stages
-        )
+    stages = tuple(
+        (stage.threshold, tuple(tuple(compile_node(n) for n in t.nodes) for t in stage.trees))
+        for stage in model.stages
+    )
+    views = memoryview(integral.sum.ravel()), memoryview(integral.sqsum.ravel())
+    return (*views, ww * wh, *integral.corners(0, 0, ww, wh)[1:], stages)
 
 
-def evaluate_window(scan: _ScaleScan, base: int) -> bool:
+def evaluate_window(scan: tuple, base: int) -> bool:
     """Pass/fail of the window whose top-left corner is flat index `base`.
 
     Feature values are normalized by window area times the windowed
@@ -304,17 +299,14 @@ def evaluate_window(scan: _ScaleScan, base: int) -> bool:
     caller keeps the window inside the frame: an index past a row's end
     reads the next row instead of failing.
     """
-    s = scan.sums
-    q = scan.sqsums
-    tr, bl, br = scan.corners
-    area = scan.area
+    s, q, area, tr, bl, br, stages = scan
     mean = (s[base + br] - s[base + tr] - s[base + bl] + s[base]) / area
     var = (q[base + br] - q[base + tr] - q[base + bl] + q[base]) / area - mean * mean
     # sqrt(max(var, 0)) clamped at 1: sqrt is correctly rounded and
     # monotone, so it stays at or below 1 exactly when var does
     sigma = math.sqrt(var) if var > 1.0 else 1.0
     inv_norm = 1.0 / (area * sigma)
-    for stage_threshold, trees in scan.stages:
+    for stage_threshold, trees in stages:
         total = 0
         for nodes in trees:
             rects, threshold, left_val, left_child, right_val, right_child = nodes[0]
@@ -376,6 +368,20 @@ def _group_detections(raw, min_neighbors):
     return out
 
 
+def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, stride: int):
+    """Raw hits (x, y, ww, wh) of one scale in row-major order; calls
+    evaluate_window exactly once per position of the stride grid."""
+    scan = _compile_scale(model, integral, scale, ww, wh)
+    rows, row = integral.sum.shape
+    hits = []
+    for y in range(0, rows - wh, stride):
+        first = y * row
+        for base in range(first, first + row - ww, stride):
+            if evaluate_window(scan, base):
+                hits.append((base - first, y, ww, wh))
+    return hits
+
+
 def detect_multiscale(
     model: CascadeModel,
     gray: Image,
@@ -386,9 +392,8 @@ def detect_multiscale(
     """Scan all scales window*scale_factor^k that fit the frame; group raw
     hits by >=50% mutual overlap; keep groups with >= min_neighbors hits.
 
-    Builds the frame's integral tables with one `integral_image` call and
-    compiles each scale once; then calls `evaluate_window` exactly once
-    per window position, in row-major order within each scale.
+    Builds the frame's integral tables with one `integral_image` call;
+    then each scale goes through `_scan_scale`, smallest first.
     """
     if not 1.05 <= scale_factor < math.inf:
         raise ValueError("scale_factor must be finite and >= 1.05")
@@ -398,9 +403,6 @@ def detect_multiscale(
     if gray.width < w0 or gray.height < h0:
         raise ImageTooSmall(f"frame {gray.width}x{gray.height} smaller than {w0}x{h0} window")
     integral = integral_image(gray)
-    sums = memoryview(integral.sum.ravel())
-    sqsums = memoryview(integral.sqsum.ravel())
-    row = gray.width + 1
     raw = []
     scale = 1.0
     # the guard stops before rounding a window that overflowed to inf
@@ -409,12 +411,6 @@ def detect_multiscale(
         wh = int(round(h0 * scale))
         if ww > gray.width or wh > gray.height:
             break
-        stride = max(1, int(round(step_fraction * scale)))
-        scan = _ScaleScan(model, sums, sqsums, row, scale)
-        for y in range(0, gray.height - wh + 1, stride):
-            first = y * row
-            for base in range(first, first + gray.width - ww + 1, stride):
-                if evaluate_window(scan, base):
-                    raw.append((base - first, y, ww, wh))
+        raw += _scan_scale(model, integral, scale, ww, wh, max(1, int(round(step_fraction * scale))))
         scale *= scale_factor
     return _group_detections(raw, min_neighbors)

@@ -1,5 +1,5 @@
-"""Raster containers, PNM I/O, color conversion, resizing, integral images
-and the union of linked index pairs."""
+"""Raster containers, PNM I/O, color conversion, resizing, integral images,
+a square box's placement in the frame and the union of linked index pairs."""
 
 from __future__ import annotations
 
@@ -101,6 +101,14 @@ class IntegralTable:
     def rect_sum(self, x: int, y: int, w: int, h: int) -> int:
         s = self.sum
         return int(s[y + h, x + w] - s[y, x + w] - s[y + h, x] + s[y, x])
+
+    def corners(self, x, y, w, h):
+        """Flat indices (tl, tr, bl, br) of a rect's corners in the raveled
+        tables, y * row + x; ints or int arrays alike."""
+        row = self.sum.shape[1]
+        tl = y * row + x
+        bl = tl + h * row
+        return tl, tl + w, bl, bl + w
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -267,6 +275,14 @@ def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
         q = np.zeros((h + 1, w + 1), dtype=np.int64)
         q[1:, 1:] = (px * px).cumsum(axis=0).cumsum(axis=1)
     return IntegralTable(s, q)
+
+
+def square_in_frame(cx: float, cy: float, side: int, frame_w: int, frame_h: int):
+    """The side x side box centred on (cx, cy), its corner rounded and
+    clamped so the box lies inside the frame (side fits the frame)."""
+    x = min(max(int(round(cx - side / 2.0)), 0), frame_w - side)
+    y = min(max(int(round(cy - side / 2.0)), 0), frame_h - side)
+    return x, y, side, side
 
 
 def hook_min_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

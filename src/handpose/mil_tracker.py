@@ -89,7 +89,8 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
     Returns (n_locs, len(feats)) float64, normalized by the patch area.
     Each column sums its feature's weighted rects in pool order from 0.0:
     pass k adds rect k of every feature that has one (features have 2-4).
-    Rect corners are gathered from the flattened table at y * stride + x.
+    Rect corners (IntegralTable.corners) are gathered from the flattened
+    table at offsets from each location's flat index y * stride + x.
     """
     start = state.feat_start[feats]
     n_rects = state.feat_start[feats + 1] - start
@@ -104,10 +105,7 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
     for k in range(4):
         c = np.count_nonzero(n_rects > k)
         r = start[:c] + k
-        tl = state.rect_y[r] * stride + state.rect_x[r]
-        tr = tl + state.rect_w[r]
-        bl = tl + state.rect_h[r] * stride
-        br = bl + state.rect_w[r]
+        tl, tr, bl, br = integral.corners(state.rect_x[r], state.rect_y[r], state.rect_w[r], state.rect_h[r])
         rect_sums = (
             flat.take(base + br) - flat.take(base + tr) - flat.take(base + bl) + flat.take(base + tl)
         ).astype(np.float64)

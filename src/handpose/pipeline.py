@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gesture_net, haar_cascade, mil_tracker, skin_segment
 from .errors import ConfigLoadError, EmptyHistory, HandposeError, PatchOutOfFrame
-from .imaging import Image, load_pnm, luma
+from .imaging import Image, load_pnm, luma, square_in_frame
 
 DETECTING = "DETECTING"
 TRACKING = "TRACKING"
@@ -75,29 +75,15 @@ def smooth_label(history) -> int:
     """Majority vote; ties resolve to the most recent among tied labels."""
     if not history:
         raise EmptyHistory("label history is empty")
-    counts = {}
-    for lbl in history:
-        counts[lbl] = counts.get(lbl, 0) + 1
-    top = max(counts.values())
-    tied = {lbl for lbl, c in counts.items() if c == top}
-    for lbl in reversed(history):
-        if lbl in tied:
-            return lbl
-    raise AssertionError("unreachable")
+    # max keeps the first of equal counts, so the most recent tied label
+    return max(reversed(history), key=Counter(history).__getitem__)
 
 
 def wrist_box(det_bbox, cfg: PipelineConfig, frame_w: int, frame_h: int):
     """Square tracked box derived from a detection per the config rule."""
     x, y, w, h = det_bbox
-    side = max(4, int(round(cfg.wrist_size_ratio * min(w, h))))
-    side = min(side, frame_w, frame_h)
-    cx = x + w / 2.0
-    cy = y + cfg.wrist_vertical_anchor * h
-    bx = int(round(cx - side / 2.0))
-    by = int(round(cy - side / 2.0))
-    bx = min(max(bx, 0), frame_w - side)
-    by = min(max(by, 0), frame_h - side)
-    return bx, by, side, side
+    side = min(max(4, int(round(cfg.wrist_size_ratio * min(w, h)))), frame_w, frame_h)
+    return square_in_frame(x + w / 2.0, y + cfg.wrist_vertical_anchor * h, side, frame_w, frame_h)
 
 
 def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):

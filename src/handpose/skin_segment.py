@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, WrongChannelCount
-from .imaging import BinaryMask, Image, hook_min_roots, resize_nearest, rgb_to_ycbcr
+from .imaging import BinaryMask, Image, hook_min_roots, resize_nearest, rgb_to_ycbcr, square_in_frame
 
 CHANNEL_NAMES = ("R", "G", "B", "Y", "Cb", "Cr")
 # extraction: 3x3-box opening then closing, each this many iterations, and
@@ -110,35 +110,30 @@ def classify_pixels(img: Image, model: SkinModel) -> BinaryMask:
 # -------------------------------------------------------------- morphology
 
 
-def _pad_apply(bits: np.ndarray, combine) -> np.ndarray:
-    """Combine each pixel's 3x3 box as a 1x3 pass then a 3x1 pass, each
-    padded with background."""
+def _box_combine(mask: BinaryMask, iters: int, combine) -> BinaryMask:
+    """`iters` times, combine each pixel's 3x3 box as a 1x3 pass then a 3x1
+    pass, each padded with background."""
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
+    bits = mask.bits
     h, w = bits.shape
-    p = np.zeros((h, w + 2), dtype=bool)
-    p[:, 1:-1] = bits
-    q = np.zeros((h + 2, w), dtype=bool)
-    combine(combine(p[:, :-2], p[:, 1:-1]), p[:, 2:], out=q[1:-1])
-    return combine(combine(q[:-2], q[1:-1]), q[2:])
+    for _ in range(iters):
+        p = np.zeros((h, w + 2), dtype=bool)
+        p[:, 1:-1] = bits
+        q = np.zeros((h + 2, w), dtype=bool)
+        combine(combine(p[:, :-2], p[:, 1:-1]), p[:, 2:], out=q[1:-1])
+        bits = combine(combine(q[:-2], q[1:-1]), q[2:])
+    return BinaryMask(bits)
 
 
 def erode(mask: BinaryMask, iters: int = 1) -> BinaryMask:
     """Minkowski erosion by the 3x3 box; outside the frame counts as background."""
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    bits = mask.bits
-    for _ in range(iters):
-        bits = _pad_apply(bits, np.logical_and)
-    return BinaryMask(bits)
+    return _box_combine(mask, iters, np.logical_and)
 
 
 def dilate(mask: BinaryMask, iters: int = 1) -> BinaryMask:
     """Minkowski dilation by the 3x3 box; outside the frame counts as background."""
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    bits = mask.bits
-    for _ in range(iters):
-        bits = _pad_apply(bits, np.logical_or)
-    return BinaryMask(bits)
+    return _box_combine(mask, iters, np.logical_or)
 
 
 def open_mask(mask: BinaryMask, iters: int = 1) -> BinaryMask:
@@ -213,16 +208,8 @@ def largest_component(mask: BinaryMask) -> ComponentInfo | None:
 def square_crop_box(bbox, frame_w, frame_h):
     """Expand a bbox by PAD_FRACTION, square it to 1:1, clamp to the frame."""
     x, y, w, h = bbox
-    cx = x + w / 2.0
-    cy = y + h / 2.0
-    side = max(w, h) * (1.0 + 2.0 * PAD_FRACTION)
-    side = min(side, frame_w, frame_h)
-    side = max(int(round(side)), 1)
-    x0 = int(round(cx - side / 2.0))
-    y0 = int(round(cy - side / 2.0))
-    x0 = min(max(x0, 0), frame_w - side)
-    y0 = min(max(y0, 0), frame_h - side)
-    return x0, y0, side, side
+    side = max(int(round(min(max(w, h) * (1.0 + 2.0 * PAD_FRACTION), frame_w, frame_h))), 1)
+    return square_in_frame(x + w / 2.0, y + h / 2.0, side, frame_w, frame_h)
 
 
 def extract_hand_patch(img: Image, model: SkinModel, roi=None):

@@ -284,13 +284,12 @@ def detect_multiscale_oracle(model, gray, scale_factor=1.1, step_fraction=1.0, m
 
 def evaluate_at(model, integral, win):
     """The library's evaluate_window on window (x, y, scale): compiles the
-    scale against flat views of `integral`, as detect_multiscale does."""
+    scale against `integral` with _compile_scale, as _scan_scale does."""
     x, y, scale = win
-    row = integral.sum.shape[1]
-    scan = haar_cascade._ScaleScan(
-        model, memoryview(integral.sum.ravel()), memoryview(integral.sqsum.ravel()), row, scale
-    )
-    return haar_cascade.evaluate_window(scan, y * row + x)
+    ww = int(round(model.window[0] * scale))
+    wh = int(round(model.window[1] * scale))
+    scan = haar_cascade._compile_scale(model, integral, scale, ww, wh)
+    return haar_cascade.evaluate_window(scan, y * integral.sum.shape[1] + x)
 
 
 # ------------------------------------------------------ tracker oracles
@@ -394,6 +393,19 @@ def mil_track_step_oracle(state, gray):
     confidence = float(scores[best]) / len(state.selected)
     mil_update_oracle(state, integral)
     return mil_tracker.TrackResult(state.bbox, confidence)
+
+
+def smooth_label_oracle(history):
+    """Majority vote by a count dict, then a backwards walk to the most
+    recent of the tied labels."""
+    counts = {}
+    for lbl in history:
+        counts[lbl] = counts.get(lbl, 0) + 1
+    top = max(counts.values())
+    tied = {lbl for lbl, c in counts.items() if c == top}
+    for lbl in reversed(history):
+        if lbl in tied:
+            return lbl
 
 
 # -------------------------------------------------------- synthetic data

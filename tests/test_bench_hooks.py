@@ -10,12 +10,18 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from handpose import gesture_net, mil_tracker
+import numpy as np
+import pytest
+
+from handpose import gesture_net, haar_cascade, mil_tracker, rand
+from handpose.haar_cascade import CascadeModel, Stage, Tree, TreeNode, WeightedRect
+from handpose.imaging import Image
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 with mock.patch.dict(os.environ):  # check_geometry pins BLAS threads on import
     import check_geometry  # noqa: E402
+import scenes  # noqa: E402
 import tracing  # noqa: E402
 
 
@@ -45,3 +51,45 @@ def test_geometry_counts_match_wrapped_calls():
     assert got == want > 0
     got, want = check_geometry.check_candidates((130, 5, 30, 30), (160, 120))
     assert got == want > 0
+
+
+def _stump_cascade(win_w, win_h):
+    rects = [WeightedRect(0, 0, win_w, win_h, -1.0), WeightedRect(0, 0, 1, 1, 1.0)]
+    node = TreeNode(rects, 0.0, left_val=0.0, right_val=1.0)
+    return CascadeModel((win_w, win_h), [Stage(0.5, [Tree([node])])])
+
+
+def _scan_cases():
+    yield scenes.brightness_cascade(), 160, 120, 1.1, 1.0
+    yield scenes.brightness_cascade(), 320, 240, 1.1, 1.0
+    rng = rand.generator(13, 0)
+    for _ in range(12):
+        win_w, win_h = int(rng.integers(4, 16)), int(rng.integers(4, 16))
+        width, height = int(rng.integers(win_w, 90)), int(rng.integers(win_h, 70))
+        yield _stump_cascade(win_w, win_h), width, height, float(rng.uniform(1.05, 1.25)), float(rng.uniform(1.0, 2.0))
+
+
+@pytest.mark.parametrize("case", list(_scan_cases()), ids=lambda c: f"{c[1]}x{c[2]}-win{c[0].window}")
+def test_scan_scale_grids_sum_to_windows_scanned(monkeypatch, case):
+    """The per-scale seam a benchmark can count instead of evaluate_window:
+    the stride grids of the _scan_scale calls add up to the geometry
+    formula and to the evaluate_window calls."""
+    model, width, height, scale_factor, step_fraction = case
+    grid, calls = [0], [0]
+    scan_scale, evaluate = haar_cascade._scan_scale, haar_cascade.evaluate_window
+
+    def counted_scan(model, integral, scale, ww, wh, stride):
+        H, W = (n - 1 for n in integral.sum.shape)
+        grid[0] += len(range(0, H - wh + 1, stride)) * len(range(0, W - ww + 1, stride))
+        return scan_scale(model, integral, scale, ww, wh, stride)
+
+    def counted_evaluate(scan, base):
+        calls[0] += 1
+        return evaluate(scan, base)
+
+    monkeypatch.setattr(haar_cascade, "_scan_scale", counted_scan)
+    monkeypatch.setattr(haar_cascade, "evaluate_window", counted_evaluate)
+    gray = Image(np.random.default_rng(0).integers(0, 256, size=(height, width), dtype=np.uint8))
+    haar_cascade.detect_multiscale(model, gray, scale_factor=scale_factor, step_fraction=step_fraction)
+    want = tracing.windows_scanned(width, height, model.window, scale_factor, step_fraction)
+    assert grid[0] == calls[0] == want > 0

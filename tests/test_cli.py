@@ -128,6 +128,12 @@ def _stray_child_cascade(child):
     return model
 
 
+def _nan_stage_cascade():
+    model = brightness_cascade()
+    model.stages[0].threshold = float("nan")
+    return model
+
+
 def _segment_args(skin_text, frame):
     def args(tmp_path):
         model = tmp_path / "skin.txt"
@@ -197,6 +203,7 @@ BAD_INPUTS = {
     "scale-factor-inf": (_detect_args(brightness_cascade(), "--scale-factor", "inf"), "scale_factor"),
     "scale-factor-nan": (_detect_args(brightness_cascade(), "--scale-factor", "nan"), "scale_factor"),
     "step-fraction-inf": (_detect_args(brightness_cascade(), "--step-fraction", "inf"), "step_fraction"),
+    "cascade-stage-nan": (_detect_args(_nan_stage_cascade()), "<stage_threshold> nan is not finite"),
     "skin-bound-overflow": (_skin_bound_args("99999999999999999999"), "channel G"),
     "skin-bound-256": (_skin_bound_args("256"), "channel G"),
     "skin-bound-1e3": (_skin_bound_args("1e3"), "channel G"),

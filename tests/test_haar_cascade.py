@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -140,6 +141,26 @@ class TestParse:
         old, new = mutation
         doc = MINIMAL_XML.replace(old, new)
         with pytest.raises((SchemaViolation, XmlSyntax)):
+            parse_cascade(doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "<stage_threshold>{}</stage_threshold>",
+            "<node_threshold>{}</node_threshold>",
+            "<left_val>{}</left_val>",
+            "<right_val>{}</right_val>",
+            "<rect>10 0 10 20 {}</rect>",
+        ],
+        ids=["stage-threshold", "node-threshold", "left-val", "right-val", "rect-weight"],
+    )
+    def test_non_finite_number_rejected(self, field, value):
+        # a stage threshold of nan or -inf would pass every window
+        old = field.format(re.search(field.format("(.*?)"), MINIMAL_XML).group(1))
+        doc = MINIMAL_XML.replace(old, field.format(value))
+        assert doc != MINIMAL_XML
+        with pytest.raises(SchemaViolation, match="not finite"):
             parse_cascade(doc)
 
 
@@ -554,11 +575,10 @@ class TestScanExactness:
         for _, model, gray, scale_factor in _cases(60, 24):
             table = integral_image(gray)
             row = gray.width + 1
-            sums, sqsums = memoryview(table.sum.ravel()), memoryview(table.sqsum.ravel())
             for scale in _scales(model, gray, scale_factor):
                 ww = int(round(model.window[0] * scale))
                 wh = int(round(model.window[1] * scale))
-                scan = haar_cascade._ScaleScan(model, sums, sqsums, row, scale)
+                scan = haar_cascade._compile_scale(model, table, scale, ww, wh)
                 for y in range(gray.height - wh + 1):
                     for x in range(gray.width - ww + 1):
                         want = evaluate_window_oracle(model, table, (x, y, scale))

@@ -206,3 +206,19 @@ class TestIntegralImage:
     def test_rejects_rgb(self):
         with pytest.raises(WrongChannelCount):
             integral_image(Image(np.zeros((2, 2, 3), dtype=np.uint8)))
+
+    def test_corners_give_rect_sums_on_ints_and_arrays(self):
+        rng = rand.generator(7, 1)
+        px = rng.integers(0, 256, size=(9, 13)).astype(np.uint8)
+        table = integral_image(Image(px))
+        flat = table.sum.ravel()
+        rects = [(x, y, w, h) for y in range(9) for x in range(13) for h in range(10 - y) for w in range(14 - x)]
+        for x, y, w, h in rects:
+            tl, tr, bl, br = table.corners(x, y, w, h)
+            assert all(isinstance(v, int) for v in (tl, tr, bl, br))
+            assert flat[br] - flat[tr] - flat[bl] + flat[tl] == table.rect_sum(x, y, w, h)
+        x, y, w, h = (np.array(c, dtype=np.intp) for c in zip(*rects))
+        tl, tr, bl, br = table.corners(x, y, w, h)
+        got = flat[br] - flat[tr] - flat[bl] + flat[tl]
+        assert got.tolist() == [table.rect_sum(*r) for r in rects]
+

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import deque
 
@@ -20,7 +21,7 @@ from handpose.pipeline import (
     wrist_box,
 )
 
-from helpers import BG_COLOR, SKIN_BASE
+from helpers import BG_COLOR, SKIN_BASE, smooth_label_oracle
 
 WIN = 24
 
@@ -115,6 +116,14 @@ class TestSmoothLabel:
         assert smoothed[-1] == 7
 
 
+    def test_matches_counting_oracle_on_every_short_history(self):
+        for n in range(1, 6):
+            for history in itertools.product(range(3), repeat=n):
+                want = smooth_label_oracle(history)
+                assert smooth_label(list(history)) == want, history
+                assert smooth_label(deque(history, maxlen=5)) == want, history
+
+
 class TestWristBox:
     def test_centered_anchor(self):
         cfg = synthetic_config(wrist_vertical_anchor=0.5, wrist_size_ratio=0.5)
@@ -132,6 +141,10 @@ class TestWristBox:
         bx, by, bw, bh = wrist_box((120, 80, 40, 40), cfg, 160, 120)
         assert bx >= 0 and by >= 0
         assert bx + bw <= 160 and by + bh <= 120
+
+    def test_clamped_flush_with_the_far_edges(self):
+        cfg = synthetic_config(wrist_vertical_anchor=1.0, wrist_size_ratio=1.0)
+        assert wrist_box((150, 100, 40, 40), cfg, 160, 120) == (120, 80, 40, 40)
 
 
 class TestAdvance:
