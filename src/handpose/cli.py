@@ -184,8 +184,8 @@ def _cmd_track(args):
     bbox = tuple(int(v) for v in args.init.split(","))
     if len(bbox) != 4:
         raise HandposeError("--init must be x,y,w,h")
-    state = mil_tracker.init_tracker(luma(frames[0]), bbox, seed=args.seed)
-    for i, frame in enumerate(frames[1:], start=1):
+    state = mil_tracker.init_tracker(luma(next(frames)), bbox, seed=args.seed)
+    for i, frame in enumerate(frames, start=1):
         result = mil_tracker.track_step(state, luma(frame))
         b = result.bbox
         print(f"frame {i}: bbox {b[0]},{b[1]},{b[2]},{b[3]} conf {result.confidence:.4f}")
@@ -203,14 +203,15 @@ def _cmd_run(args):
 
 def _cmd_bench(args):
     print(f"effective seed {args.seed}")
-    net = gesture_net.load_weights(Path(args.weights).read_bytes())
     if args.mode == "forward":
+        net = gesture_net.load_weights(Path(args.weights).read_bytes())
         report = bench.bench_forward(net, args.iters, args.warmup, seed=args.seed)
     else:
         if not (args.frames and args.skin and args.cascade):
             raise HandposeError("pipeline mode needs --frames, --skin and --cascade")
         cfg = pipeline.PipelineConfig.load(args.skin, args.weights, args.cascade, seed=args.seed)
-        frames = pipeline.load_frame_dir(args.frames)
+        # replayed `iters` times
+        frames = list(pipeline.load_frame_dir(args.frames))
         report = bench.bench_pipeline(frames, cfg, iters=args.iters)
     text = report.to_json()
     if args.report:

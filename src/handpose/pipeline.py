@@ -3,10 +3,11 @@ segment the tracked region, classify the 48x48 mask, smooth labels.
 
 The state machine has exactly two modes. DETECTING runs the cascade on
 the luma frame and, on a hit, derives the tracked wrist box and starts
-the tracker. TRACKING advances the tracker, drops back to DETECTING when
-confidence falls below its threshold or the frame cannot be
-tracked or segmented (its size changed, or it is gray), and otherwise
-segments around the tracked box and classifies.
+the tracker. TRACKING drops back to DETECTING on a gray frame (skin
+segmentation needs RGB) before the tracker runs; otherwise it advances
+the tracker, drops back when the frame's size changed or confidence falls
+below its threshold, and else cuts the region around the tracked box,
+segments it and classifies.
 """
 
 from __future__ import annotations
@@ -106,32 +107,27 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
             state.label_history = deque(maxlen=cfg.smoothing_window)
     else:
         tt = time.perf_counter()
-        try:
-            result = mil_tracker.track_step(state.tracker, gray)
-        except PatchOutOfFrame:  # the frame size changed mid-track
-            result = None
-        out.timings["track_ms"] = (time.perf_counter() - tt) * 1000.0
-        # a resized frame, a gray frame (skin segmentation needs RGB) and a
+        result = None
+        # a gray frame (skin segmentation needs RGB), a resized frame and a
         # low-confidence step all end the track: no hand on this frame
-        if (
-            result is None
-            or frame.channels != 3
-            or not mil_tracker.confidence_ok(result, cfg.confidence_threshold)
-        ):
+        if frame.channels == 3:
+            try:
+                result = mil_tracker.track_step(state.tracker, gray)
+            except PatchOutOfFrame:  # the frame size changed mid-track
+                pass
+        out.timings["track_ms"] = (time.perf_counter() - tt) * 1000.0
+        if result is None or not mil_tracker.confidence_ok(result, cfg.confidence_threshold):
             state.tracker = None
             state.mode = DETECTING
         else:
             out.confidence = result.confidence
             bx, by, bw, bh = result.bbox
-            # segment inside the tracked box inflated by 2x
-            roi = (
-                bx - bw // 2,
-                by - bh // 2,
-                bw * 2,
-                bh * 2,
-            )
+            # segment inside the tracked box inflated by 2x; the slice clips
+            # the far edges, as the tracker keeps its box in frame
+            x, y = max(0, bx - bw // 2), max(0, by - bh // 2)
             ts = time.perf_counter()
-            extracted = skin_segment.extract_hand_patch(frame, cfg.skin_model, roi=roi)
+            region = Image(frame.pixels[y : y + 2 * bh, x : x + 2 * bw])
+            extracted = skin_segment.extract_hand_patch(region, cfg.skin_model)
             out.timings["segment_ms"] = (time.perf_counter() - ts) * 1000.0
             if extracted is not None:
                 patch, comp = extracted
@@ -139,10 +135,10 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
                 label, _ = gesture_net.classify_mask(cfg.network, patch)
                 out.timings["classify_ms"] = (time.perf_counter() - tc) * 1000.0
                 state.label_history.append(label)
-                out.hand_bbox = comp.bbox
+                cx, cy, cw, ch = comp.bbox
+                out.hand_bbox = (cx + x, cy + y, cw, ch)
                 out.raw_label = label
                 out.smoothed_label = smooth_label(state.label_history)
-            out.mode = TRACKING
 
     out.timings["total_ms"] = (time.perf_counter() - t0) * 1000.0
     state.frame_index += 1
@@ -190,9 +186,10 @@ def run_session(frames, cfg: PipelineConfig) -> SessionReport:
     return SessionReport(outputs, aggregates)
 
 
-def load_frame_dir(path) -> list:
-    """Directory of numbered .ppm/.pgm frames, lexicographic order."""
+def load_frame_dir(path):
+    """Directory of numbered .ppm/.pgm frames, lexicographic order, as an
+    iterator that decodes each frame when it is reached."""
     files = sorted(p for p in Path(path).iterdir() if p.suffix in (".ppm", ".pgm"))
     if not files:
         raise ConfigLoadError(f"no frames under {path}")
-    return [load_pnm(p.read_bytes()) for p in files]
+    return (load_pnm(p.read_bytes()) for p in files)

@@ -1,5 +1,5 @@
 """Skin-pixel box model over RGB+YCbCr, binary morphology, connected
-components and extraction of the 48x48 binary classifier input."""
+components and extraction of the classifier's square binary input."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, WrongChannelCount
+from .gesture_net import INPUT_SIDE
 from .imaging import BinaryMask, Image, hook_min_roots, resize_nearest, rgb_to_ycbcr, square_in_frame
 
 CHANNEL_NAMES = ("R", "G", "B", "Y", "Cb", "Cr")
@@ -212,23 +213,10 @@ def square_crop_box(bbox, frame_w, frame_h):
     return square_in_frame(x + w / 2.0, y + h / 2.0, side, frame_w, frame_h)
 
 
-def extract_hand_patch(img: Image, model: SkinModel, roi=None):
+def extract_hand_patch(img: Image, model: SkinModel):
     """Segment, clean up with open/close, pick the largest blob and return
-    its padded square crop resized to a 48x48 mask.
-
-    `roi` (x, y, w, h) optionally restricts segmentation to a sub-window;
-    the returned component is reported in full-frame coordinates.
-    """
-    ox = oy = 0
-    if roi is not None:
-        x, y, w, h = roi
-        x = max(0, min(x, img.width - 1))
-        y = max(0, min(y, img.height - 1))
-        w = max(1, min(w, img.width - x))
-        h = max(1, min(h, img.height - y))
-        sub = Image(img.pixels[y : y + h, x : x + w])
-        ox, oy = x, y
-        img = sub
+    its padded square crop resized to the classifier's input side, with
+    the blob's component."""
     mask = classify_pixels(img, model)
     mask = open_mask(mask, OPEN_ITERS)
     mask = close_mask(mask, CLOSE_ITERS)
@@ -237,6 +225,4 @@ def extract_hand_patch(img: Image, model: SkinModel, roi=None):
         return None
     x0, y0, side, _ = square_crop_box(comp.bbox, img.width, img.height)
     crop = BinaryMask(mask.bits[y0 : y0 + side, x0 : x0 + side])
-    patch = resize_nearest(crop, 48, 48)
-    bx, by, bw, bh = comp.bbox
-    return patch, ComponentInfo(comp.area, (bx + ox, by + oy, bw, bh))
+    return resize_nearest(crop, INPUT_SIDE, INPUT_SIDE), comp

@@ -25,17 +25,7 @@ def initial_params(shape, seed, dtype):
     return w, np.zeros(shape[0], dtype)
 
 
-class Layer:
-    """Base layer; parameter-free unless it is a ParamLayer."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ParamLayer(Layer):
+class ParamLayer:
     """Layer around weights w and bias b; its geometry is w.shape. The grad
     (gw, gb) and momentum (vw, vb) buffers come from np.zeros, which writes
     no fresh pages; backward and sgd_step are the first to write them."""
@@ -129,7 +119,7 @@ class Conv2D(ParamLayer):
         return _unbatch(gx, single)
 
 
-class MaxPool2x2(Layer):
+class MaxPool2x2:
     """Disjoint 2x2 max pooling; ties go to the first cell in row-major order."""
 
     _argmax = _in_shape = None
@@ -161,7 +151,7 @@ class MaxPool2x2(Layer):
         return _unbatch(gx, single)
 
 
-class ReLU(Layer):
+class ReLU:
     _mask = None
 
     def forward(self, x):
@@ -174,7 +164,7 @@ class ReLU(Layer):
         return np.where(self._mask, grad_out, 0)
 
 
-class Flatten(Layer):
+class Flatten:
     _in_shape = None
 
     def forward(self, x):

@@ -408,6 +408,18 @@ def smooth_label_oracle(history):
             return lbl
 
 
+def hand_roi_oracle(frame, roi):
+    """The crop of `frame` for a region `roi` (x, y, w, h): its start moved
+    into the frame and its extent cut at the far edges, each at least one
+    pixel; returns the crop and its offset in the frame."""
+    x, y, w, h = roi
+    x = max(0, min(x, frame.width - 1))
+    y = max(0, min(y, frame.height - 1))
+    w = max(1, min(w, frame.width - x))
+    h = max(1, min(h, frame.height - y))
+    return Image(frame.pixels[y : y + h, x : x + w]), (x, y)
+
+
 # -------------------------------------------------------- synthetic data
 
 

@@ -396,11 +396,32 @@ class TestBench:
                 "--frames", str(session_assets["frames"]),
                 "--skin", str(session_assets["skin"]),
                 "--cascade", str(session_assets["cascade"]),
-                "--iters", "1",
+                "--iters", "2",
                 "--report", str(report_path),
             ]
         )
         assert code == 0
         payload = json.loads(report_path.read_text())
         jsonschema.validate(payload, load_schema("bench_report.schema.json"))
-        assert payload["iterations"] == 8
+        assert payload["iterations"] == 2 * 8
+
+    @pytest.mark.parametrize("mode", ["forward", "pipeline"])
+    def test_weights_read_once(self, monkeypatch, capsys, session_assets, tmp_path, mode):
+        calls = []
+        load_weights = gesture_net.load_weights
+        monkeypatch.setattr(gesture_net, "load_weights", lambda data: calls.append(1) or load_weights(data))
+        code = main(
+            [
+                "bench",
+                "--mode", mode,
+                "--weights", str(session_assets["weights"]),
+                "--frames", str(session_assets["frames"]),
+                "--skin", str(session_assets["skin"]),
+                "--cascade", str(session_assets["cascade"]),
+                "--iters", "1",
+                "--warmup", "0",
+                "--report", str(tmp_path / "bench.json"),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1

@@ -8,7 +8,7 @@ import pytest
 from handpose import gesture_net, mil_tracker, pipeline, skin_segment
 from handpose.errors import ConfigLoadError, EmptyHistory
 from handpose.haar_cascade import CascadeModel, Stage, Tree, TreeNode, WeightedRect
-from handpose.imaging import Image, luma
+from handpose.imaging import Image, luma, save_pnm
 from handpose.pipeline import (
     DETECTING,
     TRACKING,
@@ -21,7 +21,7 @@ from handpose.pipeline import (
     wrist_box,
 )
 
-from helpers import BG_COLOR, SKIN_BASE, smooth_label_oracle
+from helpers import BG_COLOR, SKIN_BASE, hand_roi_oracle, smooth_label_oracle
 
 WIN = 24
 
@@ -177,7 +177,7 @@ class TestAdvance:
     @pytest.mark.parametrize(
         "bad_frame",
         [
-            luma,  # tracks as well as the RGB frame, but segmentation needs RGB
+            luma,  # segmentation needs RGB, so the track ends untracked
             lambda f: Image(f.pixels[:, :-8]),  # resized: the tracker's box is off frame
         ],
         ids=["gray", "resized"],
@@ -194,6 +194,48 @@ class TestAdvance:
         assert out.hand_bbox is None and out.raw_label is None and out.confidence is None
         state, out = advance(state, frame, cfg)
         assert out.mode == DETECTING and state.mode == TRACKING
+
+    def test_gray_frame_skips_the_tracker(self, monkeypatch):
+        cfg = synthetic_config()
+        frame = scene((40, 40))
+        state, _ = advance(PipelineState(), frame, cfg)
+        steps = []
+        track_step = mil_tracker.track_step
+        monkeypatch.setattr(mil_tracker, "track_step", lambda *a: steps.append(a) or track_step(*a))
+        state, out = advance(state, luma(frame), cfg)
+        assert steps == []
+        assert state.mode == DETECTING and state.tracker is None
+        assert set(out.timings) == {"track_ms", "total_ms"}
+
+    def test_hand_region_matches_clamp_oracle_on_every_box(self, monkeypatch):
+        # the tracker stub returns the box it was given as its state
+        frame = Image(np.random.default_rng(5).integers(0, 256, size=(12, 16, 3), dtype=np.uint8))
+        blob = (1, 2, 3, 4)
+        regions = []
+        monkeypatch.setattr(mil_tracker, "track_step", lambda box, gray: mil_tracker.TrackResult(box, 1.0))
+        monkeypatch.setattr(
+            skin_segment,
+            "extract_hand_patch",
+            lambda img, model: regions.append(img) or (None, skin_segment.ComponentInfo(1, blob)),
+        )
+        monkeypatch.setattr(gesture_net, "classify_mask", lambda net, patch: (0, 1.0))
+        cfg = synthetic_config()
+        boxes = [
+            (x, y, w, h)
+            for x in range(16)
+            for y in range(12)
+            for w in range(1, 17 - x)
+            for h in range(1, 13 - y)
+        ]
+        assert len(boxes) == 10_608
+        for x, y, w, h in boxes:
+            state = PipelineState(TRACKING, (x, y, w, h), deque(maxlen=cfg.smoothing_window))
+            _, out = advance(state, frame, cfg)
+            want, (ox, oy) = hand_roi_oracle(frame, (x - w // 2, y - h // 2, 2 * w, 2 * h))
+            got = regions.pop()
+            assert got.pixels.shape == want.pixels.shape, (x, y, w, h)
+            assert got.pixels.tobytes() == want.pixels.tobytes(), (x, y, w, h)
+            assert out.hand_bbox == (blob[0] + ox, blob[1] + oy, blob[2], blob[3]), (x, y, w, h)
 
     def test_tracking_emits_labels_and_timings(self):
         cfg = synthetic_config()
@@ -305,3 +347,23 @@ class TestConfigLoad:
         cascade.write_text("<cascade><size>20 20</size><stages></stages></cascade>")
         with pytest.raises(ConfigLoadError):
             PipelineConfig.load(skin, weights, cascade)
+
+
+class TestLoadFrameDir:
+    def test_decodes_each_frame_when_reached(self, monkeypatch, tmp_path):
+        for i in range(3):
+            tmp_path.joinpath(f"frame_{i}.ppm").write_bytes(save_pnm(scene((40 + i, 40))))
+        decoded = []
+        load_pnm = pipeline.load_pnm
+        monkeypatch.setattr(pipeline, "load_pnm", lambda data: decoded.append(data) or load_pnm(data))
+        frames = pipeline.load_frame_dir(tmp_path)
+        assert decoded == []
+        assert next(frames).pixels.tobytes() == scene((40, 40)).pixels.tobytes()
+        assert len(decoded) == 1
+        assert [f.pixels.tobytes() for f in frames] == [scene((x, 40)).pixels.tobytes() for x in (41, 42)]
+        assert len(decoded) == 3
+
+    def test_empty_directory_raises_at_once(self, tmp_path):
+        tmp_path.joinpath("notes.txt").write_text("no frames here")
+        with pytest.raises(ConfigLoadError):
+            pipeline.load_frame_dir(tmp_path)
