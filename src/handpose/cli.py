@@ -184,9 +184,9 @@ def _cmd_track(args):
     bbox = tuple(int(v) for v in args.init.split(","))
     if len(bbox) != 4:
         raise HandposeError("--init must be x,y,w,h")
-    state = mil_tracker.init_tracker(luma(next(frames)), bbox, seed=args.seed)
+    state = mil_tracker.init_tracker(next(frames), bbox, seed=args.seed)
     for i, frame in enumerate(frames, start=1):
-        result = mil_tracker.track_step(state, luma(frame))
+        result = mil_tracker.track_step(state, frame)
         b = result.bbox
         print(f"frame {i}: bbox {b[0]},{b[1]},{b[2]},{b[3]} conf {result.confidence:.4f}")
 

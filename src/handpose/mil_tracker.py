@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rand
 from .errors import BoxOutOfFrame, DegenerateBox, PatchOutOfFrame
-from .imaging import Image, IntegralTable, integral_image
+from .imaging import Image, IntegralTable, integral_image, luma
 
 
 @dataclass
@@ -83,35 +84,65 @@ def _generate_features(pw: int, ph: int, m: int, seed: int):
     return rx, ry, rw, rh, arr[:, 4], np.array(feat_start, dtype=np.intp)
 
 
+def _gathered_rect_sums(integral: IntegralTable, locs: np.ndarray):
+    """Rect-sum reader for scattered locations: each rect corner is taken
+    from the raveled table at its offset from the location's flat index."""
+    flat = integral.sum.ravel()
+    base, *_ = integral.corners(locs[:, 0], locs[:, 1], 0, 0)  # each location's flat index
+
+    def rect_sums(x, y, w, h):
+        tl, tr, bl, br = (c[:, None] + base for c in integral.corners(x, y, w, h))
+        return flat.take(br) - flat.take(tr) - flat.take(bl) + flat.take(tl)
+
+    return rect_sums
+
+
+def _block_rect_sums(integral: IntegralTable, locs: np.ndarray):
+    """Rect-sum reader for dense locations: each rect corner is read as one
+    block of the table over the square the locations span, and the
+    locations' sums are picked from the block of differences."""
+    # the square the locations span, empty for no locations
+    lo, end = (locs.min(axis=0), locs.max(axis=0) + 1) if len(locs) else (np.zeros(2, np.intp),) * 2
+    nx, ny = end - lo
+    blocks = sliding_window_view(integral.sum[lo[1] :, lo[0] :], (ny, nx))
+    pick = (locs[:, 1] - lo[1]) * nx + (locs[:, 0] - lo[0])
+
+    def rect_sums(x, y, w, h):
+        diff = blocks[y + h, x + w] - blocks[y, x + w] - blocks[y + h, x] + blocks[y, x]
+        return diff.reshape(len(x), nx * ny).take(pick, axis=1)
+
+    return rect_sums
+
+
 def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarray, feats: np.ndarray):
-    """Values of the given features at patch top-left corners `locs` (n, 2).
+    """Values of the given features at patch top-left corners `locs` (n, 2),
+    in the table's own coordinates.
 
     Returns (n_locs, len(feats)) float64, normalized by the patch area.
     Each column sums its feature's weighted rects in pool order from 0.0:
     pass k adds rect k of every feature that has one (features have 2-4).
-    Rect corners (IntegralTable.corners) are gathered from the flattened
-    table at offsets from each location's flat index y * stride + x.
+    Rect sums are int64 corner differences, so they do not depend on where
+    the table starts. They are read in blocks when the locations fill at
+    least half the square they span (a block read touches every position
+    of the square, a gather each location twice), else by gathers.
     """
     start = state.feat_start[feats]
     n_rects = state.feat_start[feats + 1] - start
     # work on the columns by descending rect count, so pass k adds onto a prefix
     order = np.argsort(-n_rects, kind="stable")
     start, n_rects = start[order], n_rects[order]
-    flat = integral.sum.ravel()
-    stride = integral.sum.shape[1]
-    base = (locs[:, 1] * stride + locs[:, 0])[:, None]
+    dense = len(locs) and np.prod(np.ptp(locs, axis=0) + 1) <= 2 * len(locs)
+    rect_sums = (_block_rect_sums if dense else _gathered_rect_sums)(integral, locs)
     area = state.bbox[2] * state.bbox[3]
-    acc = np.zeros((locs.shape[0], len(feats)), dtype=np.float64)
+    # one row per column, so pass k adds onto the first c rows
+    acc = np.zeros((len(feats), len(locs)), dtype=np.float64)
     for k in range(4):
         c = np.count_nonzero(n_rects > k)
         r = start[:c] + k
-        tl, tr, bl, br = integral.corners(state.rect_x[r], state.rect_y[r], state.rect_w[r], state.rect_h[r])
-        rect_sums = (
-            flat.take(base + br) - flat.take(base + tr) - flat.take(base + bl) + flat.take(base + tl)
-        ).astype(np.float64)
-        acc[:, :c] += rect_sums * state.rect_weight[r] / area
-    out = np.empty_like(acc)
-    out[:, order] = acc
+        sums = rect_sums(state.rect_x[r], state.rect_y[r], state.rect_w[r], state.rect_h[r])
+        acc[:c] += sums.astype(np.float64) * state.rect_weight[r, None] / area
+    out = np.empty((len(locs), len(feats)), dtype=np.float64)
+    out[:, order] = acc.T
     return out
 
 
@@ -234,8 +265,21 @@ def _select_classifiers(state: TrackerState, llr: np.ndarray, n_pos: int):
     return chosen
 
 
-def _mil_update(state: TrackerState, integral: IntegralTable, first=False):
-    """Form bags around the current bbox, update Gaussians, re-select K."""
+def _window_table(state: TrackerState, frame: Image, reach: int):
+    """Sum table of the frame's luma over the box grown by `reach` on every
+    side and clipped to the frame, with its origin (x, y) in the frame.
+
+    A tracker call tables only what it reads: its patches lie within
+    `reach` of the box."""
+    x, y, w, h = state.bbox
+    x0, y0 = max(0, x - reach), max(0, y - reach)
+    window = Image(frame.pixels[y0 : y + h + reach, x0 : x + w + reach])
+    return integral_image(luma(window), squared=False), np.array([x0, y0])
+
+
+def _mil_update(state: TrackerState, integral: IntegralTable, origin: np.ndarray, first=False):
+    """Form bags around the current bbox, update Gaussians, re-select K.
+    `integral` covers the bags; `origin` is its corner in the frame."""
     p = state.params
     pos_locs = _locations(state, p.pos_radius)
     neg_locs = _locations(state, p.neg_outer, p.neg_inner)
@@ -247,24 +291,25 @@ def _mil_update(state: TrackerState, integral: IntegralTable, first=False):
     n = len(pos_locs)
     locs = np.concatenate([[state.bbox[:2]], pos_locs, neg_locs])
     all_feats = np.arange(p.num_features, dtype=np.intp)
-    vals = _feature_values(state, integral, locs, all_feats)
+    vals = _feature_values(state, integral, locs - origin, all_feats)
     _update_gaussians(state, vals[:1], vals[1 + n :], first)
     llr = _llr(state, vals[1:], all_feats)
     state.selected = _select_classifiers(state, llr, n)
 
 
-def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int = 42) -> TrackerState:
-    """Seeded feature pool plus one bag update at the initial box."""
+def init_tracker(frame: Image, bbox, params: MILParams = MILParams(), seed: int = 42) -> TrackerState:
+    """Seeded feature pool plus one bag update at the initial box; the
+    frame is RGB or gray."""
     x, y, w, h = bbox
     if w * h < 16:
         raise DegenerateBox(f"bbox area {w * h} below minimum 16")
-    if x < 0 or y < 0 or x + w > gray.width or y + h > gray.height:
-        raise BoxOutOfFrame(f"bbox {bbox} outside {gray.width}x{gray.height} frame")
+    if x < 0 or y < 0 or x + w > frame.width or y + h > frame.height:
+        raise BoxOutOfFrame(f"bbox {bbox} outside {frame.width}x{frame.height} frame")
     rx, ry, rw, rh, rweight, feat_start = _generate_features(w, h, params.num_features, seed)
     m = params.num_features
     state = TrackerState(
         bbox=(x, y, w, h),
-        frame_size=(gray.width, gray.height),
+        frame_size=(frame.width, frame.height),
         params=params,
         rect_x=rx,
         rect_y=ry,
@@ -278,22 +323,25 @@ def init_tracker(gray: Image, bbox, params: MILParams = MILParams(), seed: int =
         sg0=np.ones(m),
         rng=rand.generator(seed, 11),
     )
-    _mil_update(state, integral_image(gray, squared=False), first=True)
+    _mil_update(state, *_window_table(state, frame, int(params.neg_outer)), first=True)
     return state
 
 
-def track_step(state: TrackerState, gray: Image) -> TrackResult:
-    """One tracking iteration: move to the best-scoring offset, then learn."""
-    if (gray.width, gray.height) != state.frame_size:
+def track_step(state: TrackerState, frame: Image) -> TrackResult:
+    """One tracking iteration: move to the best-scoring offset, then learn.
+    The frame is RGB or gray; only the pixels within search_radius +
+    floor(neg_outer) of the box are read."""
+    if (frame.width, frame.height) != state.frame_size:
         raise PatchOutOfFrame("frame size changed mid-session")
-    integral = integral_image(gray, squared=False)
-    locs = _locations(state, state.params.search_radius)
-    vals = _feature_values(state, integral, locs, state.selected)
+    p = state.params
+    integral, origin = _window_table(state, frame, p.search_radius + int(p.neg_outer))
+    locs = _locations(state, p.search_radius)
+    vals = _feature_values(state, integral, locs - origin, state.selected)
     scores = _llr(state, vals, state.selected).sum(axis=1)
     best = int(scores.argmax())  # first max: smallest (dy, dx) wins ties
     state.bbox = (int(locs[best, 0]), int(locs[best, 1]), state.bbox[2], state.bbox[3])
     confidence = float(scores[best]) / len(state.selected)
-    _mil_update(state, integral)
+    _mil_update(state, integral, origin)
     return TrackResult(state.bbox, confidence)
 
 

@@ -2,12 +2,13 @@
 segment the tracked region, classify the 48x48 mask, smooth labels.
 
 The state machine has exactly two modes. DETECTING runs the cascade on
-the luma frame and, on a hit, derives the tracked wrist box and starts
-the tracker. TRACKING drops back to DETECTING on a gray frame (skin
-segmentation needs RGB) before the tracker runs; otherwise it advances
-the tracker, drops back when the frame's size changed or confidence falls
-below its threshold, and else cuts the region around the tracked box,
-segments it and classifies.
+the luma frame and, on a hit in an RGB frame (skin segmentation needs
+RGB), derives the tracked wrist box and starts the tracker. TRACKING drops
+back to DETECTING on a gray frame before the tracker runs; otherwise it
+advances the tracker on the frame as it is (the tracker takes the luma of
+the pixels it reads), drops back when the frame's size changed or
+confidence falls below its threshold, and else cuts the region around the
+tracked box, segments it and classifies.
 """
 
 from __future__ import annotations
@@ -91,16 +92,16 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
     """Process one frame; returns (state, FrameOutput)."""
     out = FrameOutput(frame_index=state.frame_index, mode=state.mode)
     t0 = time.perf_counter()
-    gray = luma(frame)
 
     if state.mode == DETECTING:
+        gray = luma(frame)
         td = time.perf_counter()
         try:
             detections = haar_cascade.detect_multiscale(cfg.cascade, gray)
         except haar_cascade.ImageTooSmall:
             detections = []
         out.timings["detect_ms"] = (time.perf_counter() - td) * 1000.0
-        if detections:
+        if detections and frame.channels == 3:
             box = wrist_box(detections[0].bbox, cfg, frame.width, frame.height)
             state.tracker = mil_tracker.init_tracker(gray, box, seed=cfg.seed)
             state.mode = TRACKING
@@ -112,7 +113,7 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
         # low-confidence step all end the track: no hand on this frame
         if frame.channels == 3:
             try:
-                result = mil_tracker.track_step(state.tracker, gray)
+                result = mil_tracker.track_step(state.tracker, frame)
             except PatchOutOfFrame:  # the frame size changed mid-track
                 pass
         out.timings["track_ms"] = (time.perf_counter() - tt) * 1000.0

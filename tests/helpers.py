@@ -350,11 +350,12 @@ def _disc_locs_oracle(state, radius, inner=None):
     return locs[inside]
 
 
-def mil_update_oracle(state, integral, first=False):
+def mil_update_oracle(state, integral, origin, first=False):
     """The MIL update with one _feature_values call per bag and one for the
     centre, selecting with select_classifiers_oracle. It reuses the
     library's other per-bag helpers, so it pins the bag locations, their
-    order and how rows reach each helper."""
+    order and how rows reach each helper. `origin` is the table's corner
+    in the frame."""
     p = state.params
     cx, cy = state.bbox[0], state.bbox[1]
     pos_locs = _disc_locs_oracle(state, p.pos_radius)
@@ -363,9 +364,9 @@ def mil_update_oracle(state, integral, first=False):
         pick = np.sort(state.rng.choice(len(neg_locs), p.num_negatives, replace=False))
         neg_locs = neg_locs[pick]
     all_feats = np.arange(p.num_features, dtype=np.intp)
-    pos_vals = mil_tracker._feature_values(state, integral, pos_locs, all_feats)
-    neg_vals = mil_tracker._feature_values(state, integral, neg_locs, all_feats)
-    cur_vals = mil_tracker._feature_values(state, integral, np.array([[cx, cy]]), all_feats)
+    pos_vals = mil_tracker._feature_values(state, integral, pos_locs - origin, all_feats)
+    neg_vals = mil_tracker._feature_values(state, integral, neg_locs - origin, all_feats)
+    cur_vals = mil_tracker._feature_values(state, integral, np.array([[cx, cy]]) - origin, all_feats)
     mil_tracker._update_gaussians(state, cur_vals, neg_vals, first)
     pos_llr = mil_tracker._llr(state, pos_vals, all_feats)
     neg_llr = mil_tracker._llr(state, neg_vals, all_feats)
@@ -383,7 +384,8 @@ def mil_score(state, gray, loc):
 
 
 def mil_track_step_oracle(state, gray):
-    """track_step over the filtered search disc, learning with mil_update_oracle."""
+    """track_step over the filtered search disc and a full-frame table,
+    learning with mil_update_oracle."""
     integral = integral_image(gray)
     locs = _disc_locs_oracle(state, state.params.search_radius)
     vals = mil_tracker._feature_values(state, integral, locs, state.selected)
@@ -391,7 +393,7 @@ def mil_track_step_oracle(state, gray):
     best = int(scores.argmax())
     state.bbox = (int(locs[best, 0]), int(locs[best, 1]), state.bbox[2], state.bbox[3])
     confidence = float(scores[best]) / len(state.selected)
-    mil_update_oracle(state, integral)
+    mil_update_oracle(state, integral, np.zeros(2, dtype=np.intp))
     return mil_tracker.TrackResult(state.bbox, confidence)
 
 

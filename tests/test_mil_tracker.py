@@ -3,7 +3,7 @@ import pytest
 
 from handpose import mil_tracker, rand
 from handpose.errors import BoxOutOfFrame, DegenerateBox, PatchOutOfFrame
-from handpose.imaging import Image, integral_image
+from handpose.imaging import Image, integral_image, luma
 from handpose.mil_tracker import (
     MILParams,
     TrackResult,
@@ -11,6 +11,7 @@ from handpose.mil_tracker import (
     _locations,
     _select_classifiers,
     _sigmoid_complement,
+    _window_table,
     confidence_ok,
     init_tracker,
     track_step,
@@ -61,12 +62,16 @@ def trail(monkeypatch, params, bbox, frames, oracle):
     return out
 
 
+def assert_trails_equal(got, want):
+    assert len(got) == len(want)
+    for (gb, gc, garrs), (wb, wc, warrs) in zip(got, want):
+        assert gb == wb and gc == wc
+        assert all(np.array_equal(g, w) for g, w in zip(garrs, warrs)), gb
+
+
 def assert_same_trail(monkeypatch, params, bbox, frames):
     got = trail(monkeypatch, params, bbox, frames, oracle=False)
-    want = trail(monkeypatch, params, bbox, frames, oracle=True)
-    for (gb, gc, garrs), (wb, wc, warrs) in zip(got, want):
-        assert gb == wb and gc == wc, bbox
-        assert all(np.array_equal(g, w) for g, w in zip(garrs, warrs)), bbox
+    assert_trails_equal(got, trail(monkeypatch, params, bbox, frames, oracle=True))
 
 
 class TestInit:
@@ -209,6 +214,55 @@ class TestFeatureValues:
                 got = _feature_values(state, integral, locs, feats)
                 want = mil_feature_values_oracle(state, frame.pixels[:, :, 0], locs, feats)
                 assert np.array_equal(got, want), case
+
+    @pytest.mark.parametrize("reader", ["_block_rect_sums", "_gathered_rect_sums"])
+    def test_each_corner_reader_matches_oracle(self, monkeypatch, reader):
+        # every rect sum goes through one reader; tables cover the whole
+        # frame, or the window a tracker call cuts around the box
+        monkeypatch.setattr(mil_tracker, "_block_rect_sums", getattr(mil_tracker, reader))
+        monkeypatch.setattr(mil_tracker, "_gathered_rect_sums", getattr(mil_tracker, reader))
+        fw, fh, bw, bh = 24, 20, 8, 6
+        params = MILParams(num_features=12, num_selected=6, num_negatives=10)
+        rng = rand.generator(75, 0)
+        frame = Image(rng.integers(0, 256, size=(fh, fw)).astype(np.uint8))
+        full = integral_image(frame, squared=False)
+        for x in (0, (fw - bw) // 2, fw - bw):
+            for y in (0, (fh - bh) // 2, fh - bh):
+                state = init_tracker(frame, (x, y, bw, bh), params, seed=x + y)
+                feats = rng.permutation(params.num_features)[: int(rng.integers(1, 13))]
+                bag = _locations(state, 9.0, 4.0)
+                cases = [
+                    (_locations(state, 6.0), 6),  # a disc clipped at this box's edges
+                    (_locations(state, 25.0), 25),  # every in-frame location
+                    (np.array([[x, y]]), 0),
+                    (np.empty((0, 2), dtype=np.intp), 0),
+                    (bag[np.sort(rng.choice(len(bag), min(len(bag), 10), replace=False))], 9),
+                ]
+                for locs, reach in cases:
+                    for integral, origin in ((full, np.zeros(2, np.intp)), _window_table(state, frame, reach)):
+                        got = _feature_values(state, integral, locs - origin, feats)
+                        pixels = frame.pixels[origin[1] :, origin[0] :, 0]
+                        want = mil_feature_values_oracle(state, pixels, locs - origin, feats)
+                        assert got.shape == want.shape == (len(locs), len(feats))
+                        assert np.array_equal(got, want), (x, y, len(locs), origin)
+
+    def test_reader_chosen_by_density(self, monkeypatch):
+        frame = textured_frame((40, 40), make_patch(seed=76))
+        state = init_tracker(frame, (40, 40, 24, 24), FAST, seed=19)
+        integral = integral_image(frame, squared=False)
+        used = []
+        for name in ("_block_rect_sums", "_gathered_rect_sums"):
+            def spy(table, locs, real=getattr(mil_tracker, name), name=name):
+                used.append(name)
+                return real(table, locs)
+
+            monkeypatch.setattr(mil_tracker, name, spy)
+        disc = _locations(state, FAST.search_radius)
+        annulus = _locations(state, FAST.neg_outer, FAST.neg_inner)
+        bag = annulus[:: len(annulus) // FAST.num_negatives]
+        for locs in (disc, bag, disc[:1]):
+            _feature_values(state, integral, locs, state.selected)
+        assert used == ["_block_rect_sums", "_gathered_rect_sums", "_block_rect_sums"]
 
 
 class TestNoisyOr:
@@ -420,6 +474,55 @@ class TestTrackStep:
             return boxes
 
         assert run() == run()
+
+
+class TestWindow:
+    """A tracker call reads only the pixels within its reach of the box:
+    floor(neg_outer) for init_tracker, search_radius + floor(neg_outer)
+    for track_step, and takes their luma itself."""
+
+    BBOX = (100, 80, 24, 24)
+    # the patch jumps by search_radius right, down, left and up, so each
+    # step reaches the edge of its window on one side
+    PATH = [(100, 80), (125, 80), (125, 105), (100, 105), (100, 80)]
+
+    def rgb_frames(self, size=(240, 200)):
+        rng = rand.generator(83, 0)
+        bg = rng.integers(0, 256, size=(size[1], size[0], 3)).astype(np.uint8)
+        patch = rng.integers(0, 256, size=(24, 24, 3)).astype(np.uint8)
+        frames = []
+        for x, y in self.PATH:
+            px = bg.copy()
+            px[y : y + 24, x : x + 24] = patch
+            frames.append(Image(px))
+        return frames
+
+    def test_full_reach_steps_match_full_frame_oracle(self, monkeypatch):
+        frames = [luma(f) for f in self.rgb_frames()]
+        boxes = [b[:2] for b, _, _ in trail(monkeypatch, FULL, self.BBOX, frames, oracle=False)]
+        assert boxes == self.PATH
+        assert_same_trail(monkeypatch, FULL, self.BBOX, frames)
+
+    def test_rgb_trail_equals_luma_trail(self, monkeypatch):
+        frames = self.rgb_frames()
+        got = trail(monkeypatch, FULL, self.BBOX, frames, oracle=False)
+        assert_trails_equal(got, trail(monkeypatch, FULL, self.BBOX, [luma(f) for f in frames], oracle=False))
+
+    def test_pixels_beyond_reach_are_not_read(self, monkeypatch):
+        frames = self.rgb_frames()
+        want = trail(monkeypatch, FULL, self.BBOX, frames, oracle=False)
+        rng = rand.generator(84, 0)
+        noised = []
+        # the box each call starts from, and how far from it the call reads
+        starts = [self.BBOX] + [b for b, _, _ in want[:-1]]
+        reaches = [int(FULL.neg_outer)] + [FULL.search_radius + int(FULL.neg_outer)] * (len(frames) - 1)
+        for frame, (x, y, w, h), reach in zip(frames, starts, reaches):
+            px = rng.integers(0, 256, size=frame.pixels.shape).astype(np.uint8)
+            y0, x0 = max(0, y - reach), max(0, x - reach)
+            px[y0 : y + h + reach, x0 : x + w + reach] = frame.pixels[y0 : y + h + reach, x0 : x + w + reach]
+            assert not np.array_equal(px, frame.pixels)
+            noised.append(Image(px))
+        assert_trails_equal(trail(monkeypatch, FULL, self.BBOX, noised, oracle=False), want)
 
 
 class TestOnePassUpdate:

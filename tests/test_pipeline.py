@@ -207,6 +207,19 @@ class TestAdvance:
         assert state.mode == DETECTING and state.tracker is None
         assert set(out.timings) == {"track_ms", "total_ms"}
 
+    def test_gray_session_never_starts_the_tracker(self, monkeypatch):
+        # the cascade hits the gray square, but a gray frame cannot be
+        # segmented, so no track starts
+        cfg = synthetic_config()
+        inits, hits = [], []
+        init_tracker, detect = mil_tracker.init_tracker, pipeline.haar_cascade.detect_multiscale
+        monkeypatch.setattr(mil_tracker, "init_tracker", lambda *a, **k: inits.append(a) or init_tracker(*a, **k))
+        monkeypatch.setattr(pipeline.haar_cascade, "detect_multiscale", lambda *a: hits.append(detect(*a)) or hits[-1])
+        report = run_session([luma(scene((30 + 4 * i, 40))) for i in range(10)], cfg)
+        assert inits == []
+        assert all(hits) and len(hits) == 10
+        assert [f.mode for f in report.frames] == [DETECTING] * 10
+
     def test_hand_region_matches_clamp_oracle_on_every_box(self, monkeypatch):
         # the tracker stub returns the box it was given as its state
         frame = Image(np.random.default_rng(5).integers(0, 256, size=(12, 16, 3), dtype=np.uint8))
