@@ -262,18 +262,26 @@ def resize_nearest(obj, w: int, h: int):
 
 
 def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
-    """Summed-area tables with 64-bit accumulators; the squared table is
-    None unless `squared` (only the cascade's variance normalization reads it)."""
+    """Summed-area tables; the squared table is None unless `squared`
+    (only the cascade's variance normalization reads it).
+
+    Without `squared` the sum table is int32 when 2 * 255 * h * w < 2**31,
+    else int64; with it both tables are int64. int32 is exact there: every
+    entry lies in [0, M] with M = 255 * h * w, so every partial result of a
+    rect sum a - b - c + d lies in [-2M, 2M]."""
     if gray.channels != 1:
         raise WrongChannelCount(f"need 1 channel, got {gray.channels}")
-    px = gray.pixels[:, :, 0].astype(np.int64)
+    px = gray.pixels[:, :, 0]
     h, w = px.shape
-    s = np.zeros((h + 1, w + 1), dtype=np.int64)
-    s[1:, 1:] = px.cumsum(axis=0).cumsum(axis=1)
+    dt = np.int32 if not squared and 2 * 255 * h * w < 2**31 else np.int64
+    s = np.zeros((h + 1, w + 1), dtype=dt)
+    np.cumsum(px, axis=0, dtype=dt, out=s[1:, 1:])
+    np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
     q = None
     if squared:
         q = np.zeros((h + 1, w + 1), dtype=np.int64)
-        q[1:, 1:] = (px * px).cumsum(axis=0).cumsum(axis=1)
+        np.cumsum(np.square(px, dtype=np.int64), axis=0, out=q[1:, 1:])
+        np.cumsum(q[1:, 1:], axis=1, out=q[1:, 1:])
     return IntegralTable(s, q)
 
 

@@ -121,10 +121,11 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
     Returns (n_locs, len(feats)) float64, normalized by the patch area.
     Each column sums its feature's weighted rects in pool order from 0.0:
     pass k adds rect k of every feature that has one (features have 2-4).
-    Rect sums are int64 corner differences, so they do not depend on where
-    the table starts. They are read in blocks when the locations fill at
-    least half the square they span (a block read touches every position
-    of the square, a gather each location twice), else by gathers.
+    Rect sums are exact integer corner differences (int32 or int64, as the
+    table is), so they do not depend on where the table starts. They are
+    read in blocks when the locations fill at least half the square they
+    span (a block read touches every position of the square, a gather each
+    location twice), else by gathers.
     """
     start = state.feat_start[feats]
     n_rects = state.feat_start[feats + 1] - start
@@ -140,21 +141,28 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
         c = np.count_nonzero(n_rects > k)
         r = start[:c] + k
         sums = rect_sums(state.rect_x[r], state.rect_y[r], state.rect_w[r], state.rect_h[r])
-        acc[:c] += sums.astype(np.float64) * state.rect_weight[r, None] / area
+        v = np.multiply(sums, state.rect_weight[r, None])  # float(sum) * weight, exact ints below 2**53
+        v /= area
+        acc[:c] += v
     out = np.empty((len(locs), len(feats)), dtype=np.float64)
     out[:, order] = acc.T
     return out
 
 
 def _llr(state: TrackerState, values: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Gaussian log-likelihood ratio log(p1/p0) per value column."""
+    """Gaussian log-likelihood ratio log(p1/p0) per value column:
+    log(sg0 / sg1) + (v - mu0)^2 / (2 sg0^2) - (v - mu1)^2 / (2 sg1^2),
+    in that order, in two buffers of the values' shape."""
     mu1, sg1 = state.mu1[feats], state.sg1[feats]
     mu0, sg0 = state.mu0[feats], state.sg0[feats]
-    return (
-        np.log(sg0 / sg1)
-        + (values - mu0) ** 2 / (2.0 * sg0**2)
-        - (values - mu1) ** 2 / (2.0 * sg1**2)
-    )
+    a = np.subtract(values, mu0)
+    np.square(a, out=a)
+    a /= 2.0 * sg0**2
+    np.add(np.log(sg0 / sg1), a, out=a)
+    b = np.subtract(values, mu1)
+    np.square(b, out=b)
+    b /= 2.0 * sg1**2
+    return np.subtract(a, b, out=a)
 
 
 def _locations(state: TrackerState, outer: float, inner: float | None = None) -> np.ndarray:
@@ -270,7 +278,9 @@ def _window_table(state: TrackerState, frame: Image, reach: int):
     side and clipped to the frame, with its origin (x, y) in the frame.
 
     A tracker call tables only what it reads: its patches lie within
-    `reach` of the box."""
+    `reach` of the box. The table is int32 for a window under 2**31 / 510
+    pixels and int64 above (integral_image's rule); the rect sums are the
+    same integers either way."""
     x, y, w, h = state.bbox
     x0, y0 = max(0, x - reach), max(0, y - reach)
     window = Image(frame.pixels[y0 : y + h + reach, x0 : x + w + reach])

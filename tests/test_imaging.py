@@ -20,6 +20,7 @@ from handpose.imaging import (
     rgb_to_ycbcr,
     save_pnm,
 )
+from handpose.mil_tracker import _block_rect_sums, _gathered_rect_sums
 from helpers import brute_rect_sum, rect_sqsum, rgb_to_ycbcr_oracle
 
 
@@ -222,3 +223,49 @@ class TestIntegralImage:
         got = flat[br] - flat[tr] - flat[bl] + flat[tl]
         assert got.tolist() == [table.rect_sum(*r) for r in rects]
 
+
+class TestSumTableDtype:
+    """The sum table is int32 exactly when 2 * 255 * h * w < 2**31 and no
+    squared table is asked for. Every rect sum is a - b - c + d of entries
+    in [0, M], M = 255 * h * w, so its partial results lie in [-2M, 2M]."""
+
+    # 1928 * 2184 = 4,210,752 = floor((2**31 - 1) / 510): the largest h * w
+    # the rule allows
+    W, H = 1928, 2184
+
+    @pytest.mark.parametrize("rows, dtype", [(H, np.int32), (H + 1, np.int64)])
+    def test_sum_table_dtype_at_the_bound(self, rows, dtype):
+        table = integral_image(Image(np.full((rows, self.W), 255, dtype=np.uint8)), squared=False)
+        assert table.sum.dtype == dtype and table.sqsum is None
+        assert table.sum[-1, -1] == 255 * self.W * rows
+
+    @pytest.mark.parametrize("rows", [1, H])
+    def test_squared_tables_are_int64(self, rows):
+        table = integral_image(Image(np.full((rows, self.W), 255, dtype=np.uint8)))
+        assert table.sum.dtype == table.sqsum.dtype == np.int64
+        assert table.sum[-1, -1] == 255 * self.W * rows
+        assert table.sqsum[-1, -1] == 255 * 255 * self.W * rows
+
+    def test_rect_sums_at_the_corners_are_exact(self):
+        w, h = self.W, self.H
+        table = integral_image(Image(np.full((h, w), 255, dtype=np.uint8)), squared=False)
+        assert table.sum.dtype == np.int32
+        # the whole frame, and rects that touch each corner of the table; a
+        # one-pixel rect at the far corner subtracts two entries near M from M
+        rects = [(0, 0, w, h), (1, 1, w - 1, h - 1), (0, 1, w, h - 1), (1, 0, w - 1, h)]
+        rects += [(x, y, 1, 1) for x in (0, w - 1) for y in (0, h - 1)]
+        rects += [(w - 3, h - 2, 3, 2), (0, h - 5, 7, 5), (w - 4, 0, 4, 9)]
+        want = [255 * rw * rh for _, _, rw, rh in rects]
+        got = [table.rect_sum(*r) for r in rects]
+        assert got == want and all(type(v) is int for v in got)
+        x, y, rw, rh = (np.array(c, dtype=np.intp) for c in zip(*rects))
+        origin = np.zeros((1, 2), dtype=np.intp)
+        for reader in (_block_rect_sums, _gathered_rect_sums):
+            sums = reader(table, origin)(x, y, rw, rh)
+            assert sums.shape == (len(rects), 1) and sums[:, 0].tolist() == want, reader.__name__
+        # four dense locations, each reading the rect that ends at the far corner
+        locs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.intp)
+        one = np.array([0], dtype=np.intp)
+        for reader in (_block_rect_sums, _gathered_rect_sums):
+            sums = reader(table, locs)(one, one, one + w - 1, one + h - 1)
+            assert sums.tolist() == [[255 * (w - 1) * (h - 1)] * 4], reader.__name__

@@ -524,6 +524,34 @@ class TestWindow:
             noised.append(Image(px))
         assert_trails_equal(trail(monkeypatch, FULL, self.BBOX, noised, oracle=False), want)
 
+    @pytest.mark.parametrize(
+        "side, box, dtype",
+        [
+            (2050, 1900, np.int32),  # step window 2,024 px square: 4.10M px, under the bound
+            (2112, 2000, np.int64),  # step window the whole 2,112 px frame: 4.46M px, over it
+        ],
+    )
+    def test_window_tables_either_side_of_the_int32_bound(self, monkeypatch, side, box, dtype):
+        # integral_image keeps a sum table int32 under 2**31 / 510 px; the
+        # oracle steps read a full-frame int64 table
+        base = rand.generator(86, 0).integers(0, 256, size=(side, side)).astype(np.uint8)
+        frames = [Image(np.roll(base, 3 * k, axis=(0, 1))) for k in range(4)]
+        xy = (side - box) // 2
+        bbox = (xy, xy, box, box)
+        dtypes = []
+
+        def spy(state, frame, reach, real=_window_table):
+            table, origin = real(state, frame, reach)
+            dtypes.append(table.sum.dtype)
+            return table, origin
+
+        with monkeypatch.context() as mp:
+            mp.setattr(mil_tracker, "_window_table", spy)
+            got = trail(monkeypatch, FAST, bbox, frames, oracle=False)
+        assert dtypes == [dtype] * len(frames)
+        assert [b[:2] for b, _, _ in got] == [(xy + 3 * k, xy + 3 * k) for k in range(len(frames))]
+        assert_trails_equal(got, trail(monkeypatch, FAST, bbox, frames, oracle=True))
+
 
 class TestOnePassUpdate:
     """The update that evaluates all bags in one pass against one that calls
