@@ -21,6 +21,11 @@ def _add_seed(p):
     p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
 
 
+def _add_binarize(p):
+    p.add_argument("--binarize", choices=("otsu", "fixed"), default="otsu")
+    p.add_argument("--threshold", type=int, default=128)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="handpose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -43,22 +48,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--binarize", choices=("otsu", "fixed"), default="otsu")
-    p.add_argument("--threshold", type=int, default=128)
+    _add_binarize(p)
     _add_seed(p)
 
     p = sub.add_parser("eval", help="evaluate weights on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--report", required=True, help="confusion-matrix CSV path")
-    p.add_argument("--binarize", choices=("otsu", "fixed"), default="otsu")
-    p.add_argument("--threshold", type=int, default=128)
+    _add_binarize(p)
 
     p = sub.add_parser("classify", help="classify one 48x48 grayscale image")
     p.add_argument("--image", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--binarize", choices=("otsu", "fixed"), default="otsu")
-    p.add_argument("--threshold", type=int, default=128)
+    _add_binarize(p)
 
     p = sub.add_parser("detect", help="run the cascade over one frame")
     p.add_argument("--image", required=True)

@@ -4,6 +4,7 @@ a square box's placement in the frame and the union of linked index pairs."""
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     MalformedHeader,
@@ -109,6 +110,44 @@ class IntegralTable:
         tl = y * row + x
         bl = tl + h * row
         return tl, tl + w, bl, bl + w
+
+    def rect_sums(self, locs: np.ndarray):
+        """Reader (x, y, w, h) -> (c, n) of the exact sums of c rects, int
+        arrays of offsets from each of the n locations `locs` (n, 2). Reads
+        blocks when the locations fill at least half the square they span
+        (a block read touches all of it, a gather each location twice)."""
+        dense = len(locs) and np.prod(np.ptp(locs, axis=0) + 1) <= 2 * len(locs)
+        return (_block_rect_sums if dense else _gathered_rect_sums)(self, locs)
+
+
+def _gathered_rect_sums(table: IntegralTable, locs: np.ndarray):
+    """Rect-sum reader for scattered locations: each rect corner is taken
+    from the raveled table at its offset from the location's flat index."""
+    flat = table.sum.ravel()
+    base, *_ = table.corners(locs[:, 0], locs[:, 1], 0, 0)  # each location's flat index
+
+    def rect_sums(x, y, w, h):
+        tl, tr, bl, br = (c[:, None] + base for c in table.corners(x, y, w, h))
+        return flat.take(br) - flat.take(tr) - flat.take(bl) + flat.take(tl)
+
+    return rect_sums
+
+
+def _block_rect_sums(table: IntegralTable, locs: np.ndarray):
+    """Rect-sum reader for dense locations: each rect corner is read as one
+    block of the table over the square the locations span, and the
+    locations' sums are picked from the block of differences."""
+    # the square the locations span, empty for no locations
+    lo, end = (locs.min(axis=0), locs.max(axis=0) + 1) if len(locs) else (np.zeros(2, np.intp),) * 2
+    nx, ny = end - lo
+    blocks = sliding_window_view(table.sum[lo[1] :, lo[0] :], (ny, nx))
+    pick = (locs[:, 1] - lo[1]) * nx + (locs[:, 0] - lo[0])
+
+    def rect_sums(x, y, w, h):
+        diff = blocks[y + h, x + w] - blocks[y, x + w] - blocks[y + h, x] + blocks[y, x]
+        return diff.reshape(len(x), nx * ny).take(pick, axis=1)
+
+    return rect_sums
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -265,15 +304,15 @@ def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
     """Summed-area tables; the squared table is None unless `squared`
     (only the cascade's variance normalization reads it).
 
-    Without `squared` the sum table is int32 when 2 * 255 * h * w < 2**31,
-    else int64; with it both tables are int64. int32 is exact there: every
-    entry lies in [0, M] with M = 255 * h * w, so every partial result of a
-    rect sum a - b - c + d lies in [-2M, 2M]."""
+    The sum table is int32 when 2 * 255 * h * w < 2**31, else int64; the
+    squared table is int64. int32 is exact there: every entry lies in
+    [0, M] with M = 255 * h * w, so every partial result of a rect sum
+    a - b - c + d lies in [-2M, 2M]."""
     if gray.channels != 1:
         raise WrongChannelCount(f"need 1 channel, got {gray.channels}")
     px = gray.pixels[:, :, 0]
     h, w = px.shape
-    dt = np.int32 if not squared and 2 * 255 * h * w < 2**31 else np.int64
+    dt = np.int32 if 2 * 255 * h * w < 2**31 else np.int64
     s = np.zeros((h + 1, w + 1), dtype=dt)
     np.cumsum(px, axis=0, dtype=dt, out=s[1:, 1:])
     np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rand
 from .errors import BoxOutOfFrame, DegenerateBox, PatchOutOfFrame
@@ -84,36 +83,6 @@ def _generate_features(pw: int, ph: int, m: int, seed: int):
     return rx, ry, rw, rh, arr[:, 4], np.array(feat_start, dtype=np.intp)
 
 
-def _gathered_rect_sums(integral: IntegralTable, locs: np.ndarray):
-    """Rect-sum reader for scattered locations: each rect corner is taken
-    from the raveled table at its offset from the location's flat index."""
-    flat = integral.sum.ravel()
-    base, *_ = integral.corners(locs[:, 0], locs[:, 1], 0, 0)  # each location's flat index
-
-    def rect_sums(x, y, w, h):
-        tl, tr, bl, br = (c[:, None] + base for c in integral.corners(x, y, w, h))
-        return flat.take(br) - flat.take(tr) - flat.take(bl) + flat.take(tl)
-
-    return rect_sums
-
-
-def _block_rect_sums(integral: IntegralTable, locs: np.ndarray):
-    """Rect-sum reader for dense locations: each rect corner is read as one
-    block of the table over the square the locations span, and the
-    locations' sums are picked from the block of differences."""
-    # the square the locations span, empty for no locations
-    lo, end = (locs.min(axis=0), locs.max(axis=0) + 1) if len(locs) else (np.zeros(2, np.intp),) * 2
-    nx, ny = end - lo
-    blocks = sliding_window_view(integral.sum[lo[1] :, lo[0] :], (ny, nx))
-    pick = (locs[:, 1] - lo[1]) * nx + (locs[:, 0] - lo[0])
-
-    def rect_sums(x, y, w, h):
-        diff = blocks[y + h, x + w] - blocks[y, x + w] - blocks[y + h, x] + blocks[y, x]
-        return diff.reshape(len(x), nx * ny).take(pick, axis=1)
-
-    return rect_sums
-
-
 def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarray, feats: np.ndarray):
     """Values of the given features at patch top-left corners `locs` (n, 2),
     in the table's own coordinates.
@@ -121,19 +90,14 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
     Returns (n_locs, len(feats)) float64, normalized by the patch area.
     Each column sums its feature's weighted rects in pool order from 0.0:
     pass k adds rect k of every feature that has one (features have 2-4).
-    Rect sums are exact integer corner differences (int32 or int64, as the
-    table is), so they do not depend on where the table starts. They are
-    read in blocks when the locations fill at least half the square they
-    span (a block read touches every position of the square, a gather each
-    location twice), else by gathers.
+    Rect sums are exact, so they do not depend on where the table starts.
     """
     start = state.feat_start[feats]
     n_rects = state.feat_start[feats + 1] - start
     # work on the columns by descending rect count, so pass k adds onto a prefix
     order = np.argsort(-n_rects, kind="stable")
     start, n_rects = start[order], n_rects[order]
-    dense = len(locs) and np.prod(np.ptp(locs, axis=0) + 1) <= 2 * len(locs)
-    rect_sums = (_block_rect_sums if dense else _gathered_rect_sums)(integral, locs)
+    rect_sums = integral.rect_sums(locs)
     area = state.bbox[2] * state.bbox[3]
     # one row per column, so pass k adds onto the first c rows
     acc = np.zeros((len(feats), len(locs)), dtype=np.float64)
@@ -278,9 +242,7 @@ def _window_table(state: TrackerState, frame: Image, reach: int):
     side and clipped to the frame, with its origin (x, y) in the frame.
 
     A tracker call tables only what it reads: its patches lie within
-    `reach` of the box. The table is int32 for a window under 2**31 / 510
-    pixels and int64 above (integral_image's rule); the rect sums are the
-    same integers either way."""
+    `reach` of the box."""
     x, y, w, h = state.bbox
     x0, y0 = max(0, x - reach), max(0, y - reach)
     window = Image(frame.pixels[y0 : y + h + reach, x0 : x + w + reach])

@@ -8,7 +8,7 @@ import numpy as np
 
 from handpose import haar_cascade, mil_tracker, rand
 from handpose.errors import ImageTooSmall, PatchOutOfFrame
-from handpose.imaging import Image, integral_image
+from handpose.imaging import Image, IntegralTable, integral_image
 from handpose.skin_segment import ComponentInfo
 
 
@@ -72,6 +72,13 @@ def rgb_to_ycbcr_oracle(pixels):
     ycc[:, :, 2] += 128.0
     rounded = np.where(ycc >= 0, np.floor(ycc + 0.5), np.ceil(ycc - 0.5))
     return np.clip(rounded, 0, 255).astype(np.uint8)
+
+
+def int64_tables(gray, squared=True):
+    """integral_image's tables with the sum table widened to int64, so an
+    oracle reads the same tables whatever dtype the library picks."""
+    table = integral_image(gray, squared)
+    return IntegralTable(table.sum.astype(np.int64), table.sqsum)
 
 
 def rect_sqsum(integral, x, y, w, h):
@@ -256,7 +263,7 @@ def group_detections_oracle(raw, min_neighbors):
 
 def raw_hits_oracle(model, gray, scale_factor=1.1, step_fraction=1.0):
     """Every window evaluate_window_oracle passes, as (x, y, w, h) in scan order."""
-    integral = integral_image(gray)
+    integral = int64_tables(gray)
     w0, h0 = model.window
     raw = []
     scale = 1.0
@@ -386,7 +393,7 @@ def mil_score(state, gray, loc):
 def mil_track_step_oracle(state, gray):
     """track_step over the filtered search disc and a full-frame table,
     learning with mil_update_oracle."""
-    integral = integral_image(gray)
+    integral = int64_tables(gray, squared=False)
     locs = _disc_locs_oracle(state, state.params.search_radius)
     vals = mil_tracker._feature_values(state, integral, locs, state.selected)
     scores = mil_tracker._llr(state, vals, state.selected).sum(axis=1)

@@ -5,6 +5,7 @@ and `mil_tracker._feature_values`. A rename there must fail here, not only
 in a traced benchmark run."""
 
 import inspect
+import json
 import os
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from handpose import gesture_net, haar_cascade, mil_tracker, rand
+from handpose import gesture_net, haar_cascade, mil_tracker, pipeline, rand
 from handpose.haar_cascade import CascadeModel, Stage, Tree, TreeNode, WeightedRect
 from handpose.imaging import Image
 
@@ -22,7 +23,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 with mock.patch.dict(os.environ):  # check_geometry pins BLAS threads on import
     import check_geometry  # noqa: E402
 import scenes  # noqa: E402
+import session as sess  # noqa: E402
 import tracing  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_tracer_install_uninstall_restores_every_hook():
@@ -42,6 +46,34 @@ def test_tracer_install_uninstall_restores_every_hook():
     for owner, attr, original, had in saved:
         assert (attr in vars(owner)) == had, attr
         assert getattr(owner, attr) == original, attr
+
+
+def test_traced_session_fills_every_span_and_metric(tmp_path):
+    """A short traced session runs every wrapper's `pre` and `post`
+    counts on real return values, as the traced benchmark run does: the
+    first 10 frames of reacquire variant 0 hold 2 cascade hits and
+    TRACKING frames with hand patches."""
+    tracer = tracing.Tracer()
+    names = {"pipeline.advance"}
+    wrap = tracer.wrap
+    tracer.wrap = lambda name, *a: names.add(name) or wrap(name, *a)
+    tracer.install()
+    try:
+        cfg = pipeline.PipelineConfig.load(*scenes.write_config_files(tmp_path, 0), **scenes.CONFIG_KWARGS)
+        tracer.install_network(cfg.network)
+        state = sess.fresh_state(cfg)
+        modes = []
+        for frame in scenes.reacquire_session(0).frames[:10]:
+            state, out = tracer.advance(state, frame, cfg)
+            modes.append(out.mode)
+    finally:
+        tracer.uninstall()
+    assert "TRACKING" in modes
+    assert {sp.name for sp in tracer.spans} == names
+    metrics = tracing.per_layer_metrics(tracer, len(modes), 0, 0)
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert declared - set(metrics) == {"trace_overhead_frac"}  # run.py adds it from two runs
+    assert all(n > 0 for name, (_, _, n) in metrics.items() if name.startswith("skin_segment."))
 
 
 def test_geometry_counts_match_wrapped_calls():

@@ -601,6 +601,32 @@ class TestScanExactness:
             hits += sum(d.neighbors for d in got)
         assert hits > 0
 
+    @pytest.mark.parametrize("side, dtype", [(2048, np.int32), (2112, np.int64)])
+    def test_sum_table_either_side_of_the_int32_bound(self, monkeypatch, side, dtype):
+        # 2048**2 px is under integral_image's int32 bound of 2**31 / 510 px,
+        # 2112**2 over it; a bright centred square on a bright frame takes
+        # the table's entries near that bound, and a 2000 px stump passes
+        # the 313 windows whose mean reaches 254.97 (the oracle reads int64)
+        win = 2000
+        rects = [WeightedRect(0, 0, win, win, -1.0), WeightedRect(0, 0, win, win, 2.0)]
+        node = TreeNode(rects, 254.97, left_val=-1.0, right_val=1.0)
+        model = CascadeModel((win, win), [Stage(0.5, [Tree([node])])])
+        px = np.full((side, side), 250, dtype=np.uint8)
+        at = (side - win) // 2
+        px[at : at + win, at : at + win] = 255
+        dtypes = []
+
+        def spy(gray, real=integral_image):
+            table = real(gray)
+            dtypes.append((table.sum.dtype, table.sqsum.dtype))
+            return table
+
+        monkeypatch.setattr(haar_cascade, "integral_image", spy)
+        got = detect_multiscale(model, Image(px))
+        assert dtypes == [(dtype, np.int64)]
+        assert [(d.bbox, d.neighbors) for d in got] == [((at, at, win, win), 313)]
+        assert got == detect_multiscale_oracle(model, Image(px))
+
 
 @pytest.fixture(scope="module")
 def bench_frames():

@@ -13,6 +13,9 @@ from handpose.gesture_net import binarize
 from handpose.imaging import (
     BinaryMask,
     Image,
+    IntegralTable,
+    _block_rect_sums,
+    _gathered_rect_sums,
     integral_image,
     load_pnm,
     luma,
@@ -20,7 +23,6 @@ from handpose.imaging import (
     rgb_to_ycbcr,
     save_pnm,
 )
-from handpose.mil_tracker import _block_rect_sums, _gathered_rect_sums
 from helpers import brute_rect_sum, rect_sqsum, rgb_to_ycbcr_oracle
 
 
@@ -225,9 +227,10 @@ class TestIntegralImage:
 
 
 class TestSumTableDtype:
-    """The sum table is int32 exactly when 2 * 255 * h * w < 2**31 and no
-    squared table is asked for. Every rect sum is a - b - c + d of entries
-    in [0, M], M = 255 * h * w, so its partial results lie in [-2M, 2M]."""
+    """The sum table is int32 exactly when 2 * 255 * h * w < 2**31, with or
+    without the squared table, which is int64. Every rect sum is
+    a - b - c + d of entries in [0, M], M = 255 * h * w, so its partial
+    results lie in [-2M, 2M]."""
 
     # 1928 * 2184 = 4,210,752 = floor((2**31 - 1) / 510): the largest h * w
     # the rule allows
@@ -239,12 +242,17 @@ class TestSumTableDtype:
         assert table.sum.dtype == dtype and table.sqsum is None
         assert table.sum[-1, -1] == 255 * self.W * rows
 
-    @pytest.mark.parametrize("rows", [1, H])
+    @pytest.mark.parametrize("rows", [1, H, H + 1])
     def test_squared_tables_are_int64(self, rows):
         table = integral_image(Image(np.full((rows, self.W), 255, dtype=np.uint8)))
-        assert table.sum.dtype == table.sqsum.dtype == np.int64
+        assert table.sum.dtype == (np.int32 if rows <= self.H else np.int64)
+        assert table.sqsum.dtype == np.int64
         assert table.sum[-1, -1] == 255 * self.W * rows
         assert table.sqsum[-1, -1] == 255 * 255 * self.W * rows
+        w, h = self.W, rows
+        rects = [(0, 0, w, h), (w - 1, h - 1, 1, 1), (1, 0, w - 1, h), (0, h - 1, w, 1)]
+        assert [table.rect_sum(*r) for r in rects] == [255 * rw * rh for _, _, rw, rh in rects]
+        assert [rect_sqsum(table, *r) for r in rects] == [255 * 255 * rw * rh for _, _, rw, rh in rects]
 
     def test_rect_sums_at_the_corners_are_exact(self):
         w, h = self.W, self.H
@@ -260,12 +268,12 @@ class TestSumTableDtype:
         assert got == want and all(type(v) is int for v in got)
         x, y, rw, rh = (np.array(c, dtype=np.intp) for c in zip(*rects))
         origin = np.zeros((1, 2), dtype=np.intp)
-        for reader in (_block_rect_sums, _gathered_rect_sums):
+        for reader in (IntegralTable.rect_sums, _block_rect_sums, _gathered_rect_sums):
             sums = reader(table, origin)(x, y, rw, rh)
             assert sums.shape == (len(rects), 1) and sums[:, 0].tolist() == want, reader.__name__
         # four dense locations, each reading the rect that ends at the far corner
         locs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.intp)
         one = np.array([0], dtype=np.intp)
-        for reader in (_block_rect_sums, _gathered_rect_sums):
+        for reader in (IntegralTable.rect_sums, _block_rect_sums, _gathered_rect_sums):
             sums = reader(table, locs)(one, one, one + w - 1, one + h - 1)
             assert sums.tolist() == [[255 * (w - 1) * (h - 1)] * 4], reader.__name__

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handpose import mil_tracker, rand
+from handpose import imaging, mil_tracker, rand
 from handpose.errors import BoxOutOfFrame, DegenerateBox, PatchOutOfFrame
 from handpose.imaging import Image, integral_image, luma
 from handpose.mil_tracker import (
@@ -219,8 +219,8 @@ class TestFeatureValues:
     def test_each_corner_reader_matches_oracle(self, monkeypatch, reader):
         # every rect sum goes through one reader; tables cover the whole
         # frame, or the window a tracker call cuts around the box
-        monkeypatch.setattr(mil_tracker, "_block_rect_sums", getattr(mil_tracker, reader))
-        monkeypatch.setattr(mil_tracker, "_gathered_rect_sums", getattr(mil_tracker, reader))
+        monkeypatch.setattr(imaging, "_block_rect_sums", getattr(imaging, reader))
+        monkeypatch.setattr(imaging, "_gathered_rect_sums", getattr(imaging, reader))
         fw, fh, bw, bh = 24, 20, 8, 6
         params = MILParams(num_features=12, num_selected=6, num_negatives=10)
         rng = rand.generator(75, 0)
@@ -252,11 +252,11 @@ class TestFeatureValues:
         integral = integral_image(frame, squared=False)
         used = []
         for name in ("_block_rect_sums", "_gathered_rect_sums"):
-            def spy(table, locs, real=getattr(mil_tracker, name), name=name):
+            def spy(table, locs, real=getattr(imaging, name), name=name):
                 used.append(name)
                 return real(table, locs)
 
-            monkeypatch.setattr(mil_tracker, name, spy)
+            monkeypatch.setattr(imaging, name, spy)
         disc = _locations(state, FAST.search_radius)
         annulus = _locations(state, FAST.neg_outer, FAST.neg_inner)
         bag = annulus[:: len(annulus) // FAST.num_negatives]
@@ -533,7 +533,7 @@ class TestWindow:
     )
     def test_window_tables_either_side_of_the_int32_bound(self, monkeypatch, side, box, dtype):
         # integral_image keeps a sum table int32 under 2**31 / 510 px; the
-        # oracle steps read a full-frame int64 table
+        # oracle steps read a full-frame table widened to int64
         base = rand.generator(86, 0).integers(0, 256, size=(side, side)).astype(np.uint8)
         frames = [Image(np.roll(base, 3 * k, axis=(0, 1))) for k in range(4)]
         xy = (side - box) // 2
