@@ -216,20 +216,38 @@ def _select_classifiers(state: TrackerState, llr: np.ndarray, n_pos: int):
       rows keep their order and every column is kept.
     A row is tested afresh each round, since a positive llr[:, best] can
     bring it back; a NaN row fails the test and stays live.
+
+    A round whose positive bag is decided, with fl(h + row min) >= 40 in
+    some positive row, scores only the live negatives from ll = zeros:
+    by the same monotonicity every q of that row is exactly 0.0, so the
+    product (other factors in [0, 1]) is 0.0 and the positive term is
+    log(1) = +0.0. A non-finite positive entry turns this off for the
+    call, since 0 * NaN is NaN and h + inf can meet -inf; h of a decided
+    row can fall back below 40, so the test too is made afresh each round.
+    With no live row every column scores alike (+0.0 if decided, else
+    log(eps)), so the round picks the first column not yet chosen.
     """
     eps = 1e-12
     h = np.zeros(llr.shape[0])
-    row_max = llr.max(axis=1)
+    row_max, pos_min = llr.max(axis=1), llr[:n_pos].min(axis=1)
+    can_decide = bool(np.isfinite(llr[:n_pos]).all())
     x_buf, q_buf, scratch_buf = np.empty_like(llr), np.empty_like(llr), np.empty_like(llr)
     chosen = np.empty(state.params.num_selected, dtype=np.intp)
     for i in range(len(chosen)):
         live = np.flatnonzero(~(h + row_max <= -_SATURATED))
-        n, live_pos = len(live), int(np.searchsorted(live, n_pos))
-        x, q = np.add(h[live, None], llr[live], out=x_buf[:n]), q_buf[:n]
-        _sigmoid_complement(x, out=q, scratch=scratch_buf[:n])  # q = 1 - p
-        ll = np.log(np.maximum(1.0 - np.multiply.reduce(q[:live_pos], axis=0), eps))
-        neg = np.maximum(q[live_pos:], eps, out=q[live_pos:])
-        ll += np.add.reduce(np.log(neg, out=neg), axis=0)
+        live_pos = int(np.searchsorted(live, n_pos))
+        decided = can_decide and bool((h[:n_pos] + pos_min >= _SATURATED).any())
+        if decided:
+            live, live_pos = live[live_pos:], 0
+        n = len(live)
+        ll = np.zeros(llr.shape[1])
+        if n:
+            x, q = np.add(h[live, None], llr[live], out=x_buf[:n]), q_buf[:n]
+            _sigmoid_complement(x, out=q, scratch=scratch_buf[:n])  # q = 1 - p
+            if not decided:
+                ll = np.log(np.maximum(1.0 - np.multiply.reduce(q[:live_pos], axis=0), eps))
+            neg = np.maximum(q[live_pos:], eps, out=q[live_pos:])
+            ll += np.add.reduce(np.log(neg, out=neg), axis=0)
         ll[chosen[:i]] = -np.inf
         best = int(ll.argmax())
         chosen[i] = best

@@ -336,10 +336,11 @@ class TestSelection:
 
 class TestLiveRows:
     """_select_classifiers skips rows with h + max(llr row) <= -40 in each
-    round. Every case is compared with select_classifiers_oracle (all rows,
-    no clamp) with ==, and the rows each round hands to
-    _sigmoid_complement are counted against the rule replayed on the
-    oracle's picks."""
+    round, and the positive rows in a round whose positive bag is decided.
+    Every case is compared with select_classifiers_oracle (all rows, no
+    clamp) with ==, and the rows each round hands to _sigmoid_complement
+    are counted against the rule replayed on the oracle's picks: a round
+    with no live row makes no call."""
 
     PARAMS = MILParams(num_features=60, num_selected=12, num_negatives=40)
 
@@ -347,8 +348,8 @@ class TestLiveRows:
         frame = textured_frame((30, 30), make_patch(seed=66))
         return init_tracker(frame, (30, 30, 24, 24), params, seed=19)
 
-    def check(self, monkeypatch, pos, neg, params=PARAMS):
-        state = self.state(params)
+    def check(self, monkeypatch, pos, neg, params=PARAMS, state=None):
+        state = state or self.state(params)
         llr = np.concatenate([pos, neg])
         rows = []
         real = mil_tracker._sigmoid_complement
@@ -362,11 +363,15 @@ class TestLiveRows:
             got = _select_classifiers(state, llr, len(pos))
             want = select_classifiers_oracle(state, pos, neg)
             assert np.array_equal(got, want)
-            h, live = np.zeros(len(llr)), []
+            h, live, n = np.zeros(len(llr)), [], len(pos)
+            can_decide = np.isfinite(pos).all()
             for best in want:
-                live.append(int(np.count_nonzero(~(h + llr.max(axis=1) <= -40.0))))
+                alive = ~(h + llr.max(axis=1) <= -40.0)
+                if can_decide and (h[:n] + pos.min(axis=1) >= 40.0).any():
+                    alive[:n] = False  # the positive bag is decided
+                live.append(int(np.count_nonzero(alive)))
                 h += llr[:, best]
-        assert rows == live
+        assert rows == [n for n in live if n]
         return live
 
     def normal(self, n, scale=1.0, seed=0):
@@ -430,6 +435,81 @@ class TestLiveRows:
             block[np.arange(36) % 3 != 1] = np.stack([rng.permutation(base) for _ in range(m)], axis=1)
         self.check(monkeypatch, pos, neg)
         self.check(monkeypatch, pos, neg, MILParams(num_features=m, num_selected=m))
+
+    def test_decided_at_the_threshold(self, monkeypatch):
+        # a positive row whose h + row min is c = 40 + k ulps, |k| <= 1000:
+        # in round 1 (h = 0, min c) and in round 2 (a constant row c / 2
+        # meets h = c / 2); the round drops the positives from c = 40 on
+        params = MILParams(num_features=4, num_selected=2, num_negatives=3)
+        state, neg, other = self.state(params), self.normal(3)[:, :4], self.normal(1, seed=1)[:, :4]
+        for k in range(-1000, 1001):
+            c = 40.0 + k * np.spacing(40.0)
+            for row, decided_round in (([c, c + 1, c + 2, c + 3], 0), ([c / 2] * 4, 1)):
+                live = self.check(monkeypatch, np.array([row, other[0]]), neg, params, state)
+                assert live[decided_round] == (3 if k >= 0 else 5), (k, decided_round)
+
+    def test_decided_bag_falls_back(self, monkeypatch):
+        # round 2: h = 100 and row min -50, decided; it picks column 1
+        # (-50), so in round 3 h + min = 0 and the positive term is back:
+        # column 2 scores log(0.5) from the negative, column 3 log(0.5)
+        # from the positive plus log(1 - sigmoid(-5)); a flag kept from
+        # round 2 would pick column 3
+        params = MILParams(num_features=4, num_selected=3, num_negatives=1)
+        pos = np.array([[100.0, -50.0, 0.0, -50.0]])
+        neg = np.array([[-100.0, -60.0, 160.0, 155.0]])
+        assert self.check(monkeypatch, pos, neg, params) == [2, 1, 2]
+        assert select_classifiers_oracle(self.state(params), pos, neg).tolist() == [0, 1, 2]
+
+    def test_non_finite_positive_turns_the_rule_off(self, monkeypatch):
+        # row 0 is decided, but a NaN in row 1 makes column 0's bag NaN,
+        # which argmax picks; with the positives dropped column 1 would win
+        params = MILParams(num_features=4, num_selected=2, num_negatives=1)
+        pos = np.array([[50.0, 60.0, 70.0, 80.0], [np.nan, 0.0, 0.0, 0.0]])
+        neg = np.array([[3.0, 0.0, 0.0, 0.0]])
+        assert self.check(monkeypatch, pos, neg, params) == [3, 3]
+        assert select_classifiers_oracle(self.state(params), pos, neg).tolist() == [0, 1]
+        # +-inf: h + inf meets -inf in round 2
+        for bad in ([np.inf, -np.inf, 0.0, 0.0], [-np.inf, np.inf, 0.0, 0.0]):
+            pos[1] = bad
+            assert self.check(monkeypatch, pos, neg, params) == [3, 3]
+
+    def test_nan_negative_stays_live_when_decided(self, monkeypatch):
+        params = MILParams(num_features=4, num_selected=3, num_negatives=3)
+        pos = np.full((2, 4), 50.0)
+        neg = np.array([[np.nan, 0.0, 0.0, 0.0], [-100.0] * 4, [1.0, 2.0, 3.0, 4.0]])
+        assert self.check(monkeypatch, pos, neg, params) == [2, 2, 2]
+
+    def test_decided_round_with_no_live_row(self, monkeypatch):
+        # every column scores 0, so the picks run in column order
+        pos = 50.0 + np.abs(self.normal(20, 10.0))
+        neg = -50.0 - np.abs(self.normal(30, 10.0, seed=1))
+        assert self.check(monkeypatch, pos, neg) == [0] * self.PARAMS.num_selected
+        want = select_classifiers_oracle(self.state(self.PARAMS), pos, neg)
+        assert want.tolist() == list(range(self.PARAMS.num_selected))
+
+    def test_random_cases(self, monkeypatch):
+        # small integer entries land h + row min on 40 exactly; a quarter of
+        # the cases carry NaN or +-inf
+        rng = rand.generator(94, 0)
+        states = {}
+        for _ in range(400):
+            m = int(rng.integers(2, 10))
+            k = int(rng.integers(1, m + 1))
+            if (m, k) not in states:
+                states[m, k] = self.state(MILParams(num_features=m, num_selected=k, num_negatives=1))
+            n_pos, n_neg = rng.integers(0, 6, size=2)
+            if rng.random() < 0.5:
+                pos = rng.integers(-20, 61, size=(n_pos, m)).astype(float)
+                neg = rng.integers(-60, 21, size=(n_neg, m)).astype(float)
+            else:
+                scale = rng.choice([1.0, 20.0, 60.0])
+                pos = rng.normal(scale=scale, size=(n_pos, m)) + rng.choice([0.0, 20.0, 40.0])
+                neg = rng.normal(scale=scale, size=(n_neg, m)) - rng.choice([0.0, 20.0, 40.0])
+            if rng.random() < 0.25:
+                for block in (pos, neg):
+                    hit = rng.random(block.shape) < 0.1
+                    block[hit] = rng.choice([np.nan, np.inf, -np.inf], size=int(hit.sum()))
+            self.check(monkeypatch, pos, neg, state=states[m, k])
 
 
 class TestTrackStep:
