@@ -27,18 +27,15 @@ def initial_params(shape, seed, dtype):
 
 class ParamLayer:
     """Layer around weights w and bias b; its geometry is w.shape. The grad
-    (gw, gb) and momentum (vw, vb) buffers come from np.zeros, which writes
-    no fresh pages; backward and sgd_step are the first to write them."""
+    (gw, gb) and momentum (vw, vb) buffers are 0.0 until backward or
+    sgd_step first binds an array, so inference holds only w and b."""
 
     kind: str
+    gw = gb = vw = vb = 0.0
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w = w
         self.b = b
-        self.gw = np.zeros(w.shape, w.dtype)
-        self.gb = np.zeros(b.shape, b.dtype)
-        self.vw = np.zeros(w.shape, w.dtype)
-        self.vb = np.zeros(b.shape, b.dtype)
 
     @classmethod
     def from_arrays(cls, w: np.ndarray, b: np.ndarray):
@@ -48,8 +45,7 @@ class ParamLayer:
         return layer
 
     def zero_grad(self):
-        self.gw[...] = 0
-        self.gb[...] = 0
+        self.gw = self.gb = 0.0
 
 
 def _as_batch(x: np.ndarray, rank: int):

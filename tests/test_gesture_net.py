@@ -319,7 +319,6 @@ class TestWeightFile:
         assert len(draws) == 5
 
     def test_loaded_network_trains_like_built(self):
-        # the loaded layers carry working grad and momentum buffers
         data = _toy_two_class_dataset()
         hyper = Hyper(learning_rate=0.01, momentum=0.9, batch_size=16, epochs=2, seed=18)
         built = build_network(18)
@@ -335,6 +334,30 @@ class TestWeightFile:
         # not accept one: a NaN in conv1 is hidden by the ReLU downstream
         with pytest.raises(ValueError, match="non-finite"):
             load_weights(poisoned_weights(build_network(13), value))
+
+
+class TestGradBuffers:
+    def test_no_buffers_before_training(self):
+        built = build_network(19)
+        for net in (built, load_weights(save_weights(built))):
+            for p in net.params():
+                assert {"gw", "gb", "vw", "vb"}.isdisjoint(vars(p))
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_trains_like_zero_buffers(self, momentum):
+        # the eager network keeps four zero buffers for the whole run and
+        # zeroes its grads in place; the lazy one binds arrays on first use
+        data = _toy_two_class_dataset()
+        hyper = Hyper(learning_rate=0.01, momentum=momentum, batch_size=16, epochs=2, seed=20)
+        lazy, eager = build_network(20), build_network(20)
+        start = save_weights(lazy)
+        for p in eager.params():
+            p.gw, p.vw = np.zeros_like(p.w), np.zeros_like(p.w)
+            p.gb, p.vb = np.zeros_like(p.b), np.zeros_like(p.b)
+            p.zero_grad = lambda p=p: (p.gw.fill(0), p.gb.fill(0))
+        train(lazy, data, hyper)
+        train(eager, data, hyper)
+        assert save_weights(lazy) == save_weights(eager) != start
 
 
 class TestClassifyMask:

@@ -263,7 +263,7 @@ class TestSgdStep:
     def test_plain_sgd_without_momentum(self):
         dense = Dense(2, 2, seed=8, dtype=np.float64)
         w0 = dense.w.copy()
-        dense.gw[...] = 1.0
+        dense.gw = np.ones_like(dense.w)
         sgd_step([dense], 0.25, 0.0)
         assert np.allclose(dense.w, w0 - 0.25)
         assert np.all(dense.gw == 0)  # grads zeroed after step
@@ -273,9 +273,22 @@ class TestSgdStep:
         dense = Dense(2, 2, seed=9, dtype=np.float64)
         w0 = dense.w.copy()
         for _ in range(2):
-            dense.gw[...] = 1.0
+            dense.gw = np.ones_like(dense.w)
             sgd_step([dense], 0.1, 0.9)
         assert np.allclose(dense.w, w0 - 0.1 * (1.0 + 1.9))
+
+
+class TestGradBuffers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_binds_layer_shape_and_dtype(self, dtype):
+        rng = rand.generator(22, 0)
+        conv = Conv2D(1, 2, 3, seed=10, dtype=dtype)
+        dense = Dense(4, 3, seed=11, dtype=dtype)
+        for layer, x in ((conv, rng.normal(size=(1, 5, 5))), (dense, rng.normal(size=4))):
+            out = layer.forward(x.astype(dtype))
+            layer.backward(np.ones_like(out))
+            for g, p in ((layer.gw, layer.w), (layer.gb, layer.b)):
+                assert g.shape == p.shape and g.dtype == p.dtype == dtype
 
 
 def _safe_input(conv, rng, margin=0.03):
