@@ -58,12 +58,15 @@ def bench_forward(net: Network, iters: int = 100, warmup: int = 10, seed: int = 
     return BenchReport("forward", warmup, samples)
 
 
-def bench_pipeline(frames, cfg: PipelineConfig, iters: int = 1) -> BenchReport:
-    """Replay a session `iters` times; samples are per-frame total_ms."""
-    if iters < 1:
-        raise ValueError("need iters >= 1")
+def bench_pipeline(frames, cfg: PipelineConfig, iters: int = 1, warmup: int = 0) -> BenchReport:
+    """Replay a session `warmup` times untimed, then `iters` times; samples
+    are per-frame total_ms."""
+    if iters < 1 or warmup < 0:
+        raise ValueError("need iters >= 1 and warmup >= 0")
+    for _ in range(warmup):
+        run_session(frames, cfg)
     samples = []
     for _ in range(iters):
         report = run_session(frames, cfg)
         samples.extend(f.timings["total_ms"] for f in report.frames)
-    return BenchReport("pipeline", 0, samples)
+    return BenchReport("pipeline", warmup, samples)

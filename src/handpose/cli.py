@@ -34,11 +34,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pixels", required=True, help="CSV of r,g,b skin pixels")
     p.add_argument("--alpha", type=float, default=0.025)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_fit_skin)
 
     p = sub.add_parser("segment", help="extract the 48x48 hand mask from a frame")
     p.add_argument("--image", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_segment)
 
     p = sub.add_parser("train", help="train the gesture classifier")
     p.add_argument("--data", required=True, help="root/<label 0..9>/*.pgm")
@@ -50,17 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.8)
     _add_binarize(p)
     _add_seed(p)
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate weights on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--report", required=True, help="confusion-matrix CSV path")
     _add_binarize(p)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("classify", help="classify one 48x48 grayscale image")
     p.add_argument("--image", required=True)
     p.add_argument("--weights", required=True)
     _add_binarize(p)
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("detect", help="run the cascade over one frame")
     p.add_argument("--image", required=True)
@@ -68,11 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-factor", type=float, default=1.1)
     p.add_argument("--step-fraction", type=float, default=1.0)
     p.add_argument("--min-neighbors", type=int, default=1)
+    p.set_defaults(run=_cmd_detect)
 
     p = sub.add_parser("track", help="track an initial box through a frame directory")
     p.add_argument("--frames", required=True)
     p.add_argument("--init", required=True, help="x,y,w,h")
     _add_seed(p)
+    p.set_defaults(run=_cmd_track)
 
     p = sub.add_parser("run", help="full pipeline over a frame directory")
     p.add_argument("--frames", required=True)
@@ -81,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cascade", required=True)
     p.add_argument("--report", required=True, help="session JSON path")
     _add_seed(p)
+    p.set_defaults(run=_cmd_run)
 
     p = sub.add_parser("bench", help="latency benchmark")
     p.add_argument("--mode", choices=("forward", "pipeline"), default="forward")
@@ -92,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cascade", help="cascade path (pipeline mode)")
     p.add_argument("--report", help="JSON report path (default stdout)")
     _add_seed(p)
+    p.set_defaults(run=_cmd_bench)
 
     return parser
 
@@ -137,7 +146,6 @@ def _cmd_train(args):
         epochs=args.epochs,
         seed=args.seed,
     )
-    print(f"effective seed {args.seed}")
     data = _load_dataset(args)
     net = gesture_net.build_network(args.seed)
     report = gesture_net.train(net, data, hyper, split=args.split)
@@ -181,7 +189,6 @@ def _cmd_detect(args):
 
 
 def _cmd_track(args):
-    print(f"effective seed {args.seed}")
     frames = pipeline.load_frame_dir(args.frames)
     bbox = tuple(int(v) for v in args.init.split(","))
     if len(bbox) != 4:
@@ -194,7 +201,6 @@ def _cmd_track(args):
 
 
 def _cmd_run(args):
-    print(f"effective seed {args.seed}")
     cfg = pipeline.PipelineConfig.load(args.skin, args.weights, args.cascade, seed=args.seed)
     frames = pipeline.load_frame_dir(args.frames)
     report = pipeline.run_session(frames, cfg)
@@ -204,7 +210,6 @@ def _cmd_run(args):
 
 
 def _cmd_bench(args):
-    print(f"effective seed {args.seed}")
     if args.mode == "forward":
         net = gesture_net.load_weights(Path(args.weights).read_bytes())
         report = bench.bench_forward(net, args.iters, args.warmup, seed=args.seed)
@@ -212,9 +217,9 @@ def _cmd_bench(args):
         if not (args.frames and args.skin and args.cascade):
             raise HandposeError("pipeline mode needs --frames, --skin and --cascade")
         cfg = pipeline.PipelineConfig.load(args.skin, args.weights, args.cascade, seed=args.seed)
-        # replayed `iters` times
+        # replayed `warmup` + `iters` times
         frames = list(pipeline.load_frame_dir(args.frames))
-        report = bench.bench_pipeline(frames, cfg, iters=args.iters)
+        report = bench.bench_pipeline(frames, cfg, iters=args.iters, warmup=args.warmup)
     text = report.to_json()
     if args.report:
         Path(args.report).write_text(text)
@@ -225,24 +230,13 @@ def _cmd_bench(args):
     print(f"mean {stats['mean']:.3f} ms p50 {stats['p50']:.3f} p95 {stats['p95']:.3f}")
 
 
-_COMMANDS = {
-    "fit-skin": _cmd_fit_skin,
-    "segment": _cmd_segment,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "detect": _cmd_detect,
-    "track": _cmd_track,
-    "run": _cmd_run,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "seed"):
+        print(f"effective seed {args.seed}")
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except (HandposeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

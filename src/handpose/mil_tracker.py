@@ -48,12 +48,9 @@ class TrackerState:
     bbox: tuple
     frame_size: tuple  # (w, h)
     params: MILParams
-    # flattened feature pool: one row per rectangle, grouped by feature;
-    # feature f owns rows feat_start[f]:feat_start[f + 1]
-    rect_x: np.ndarray
-    rect_y: np.ndarray
-    rect_w: np.ndarray
-    rect_h: np.ndarray
+    # flattened feature pool: one rect (x, y, w, h) per row of `rects`,
+    # grouped by feature; feature f owns rows feat_start[f]:feat_start[f + 1]
+    rects: np.ndarray
     rect_weight: np.ndarray
     feat_start: np.ndarray
     mu1: np.ndarray
@@ -79,8 +76,7 @@ def _generate_features(pw: int, ph: int, m: int, seed: int):
             rows.append((x, y, w, h, weight))
         feat_start.append(len(rows))
     arr = np.array(rows, dtype=np.float64)
-    rx, ry, rw, rh = (arr[:, i].astype(np.intp) for i in range(4))
-    return rx, ry, rw, rh, arr[:, 4], np.array(feat_start, dtype=np.intp)
+    return arr[:, :4].astype(np.intp), arr[:, 4], np.array(feat_start, dtype=np.intp)
 
 
 def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarray, feats: np.ndarray):
@@ -104,7 +100,7 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
     for k in range(4):
         c = np.count_nonzero(n_rects > k)
         r = start[:c] + k
-        sums = rect_sums(state.rect_x[r], state.rect_y[r], state.rect_w[r], state.rect_h[r])
+        sums = rect_sums(*state.rects[r].T)
         v = np.multiply(sums, state.rect_weight[r, None])  # float(sum) * weight, exact ints below 2**53
         v /= area
         acc[:c] += v
@@ -295,17 +291,14 @@ def init_tracker(frame: Image, bbox, params: MILParams = MILParams(), seed: int 
         raise DegenerateBox(f"bbox area {w * h} below minimum 16")
     if x < 0 or y < 0 or x + w > frame.width or y + h > frame.height:
         raise BoxOutOfFrame(f"bbox {bbox} outside {frame.width}x{frame.height} frame")
-    rx, ry, rw, rh, rweight, feat_start = _generate_features(w, h, params.num_features, seed)
+    rects, rect_weight, feat_start = _generate_features(w, h, params.num_features, seed)
     m = params.num_features
     state = TrackerState(
         bbox=(x, y, w, h),
         frame_size=(frame.width, frame.height),
         params=params,
-        rect_x=rx,
-        rect_y=ry,
-        rect_w=rw,
-        rect_h=rh,
-        rect_weight=rweight,
+        rects=rects,
+        rect_weight=rect_weight,
         feat_start=feat_start,
         mu1=np.zeros(m),
         sg1=np.ones(m),

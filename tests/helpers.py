@@ -104,8 +104,8 @@ def mil_feature_values_oracle(state, pixels, locs, feats):
         for col, f in enumerate(feats):
             acc = 0.0
             for r in range(state.feat_start[f], state.feat_start[f + 1]):
-                x, y = int(lx + state.rect_x[r]), int(ly + state.rect_y[r])
-                total = brute_rect_sum(pixels, x, y, int(state.rect_w[r]), int(state.rect_h[r]))
+                rx, ry, rw, rh = (int(v) for v in state.rects[r])
+                total = brute_rect_sum(pixels, int(lx) + rx, int(ly) + ry, rw, rh)
                 acc += float(total) * float(state.rect_weight[r]) / area
             out[li, col] = acc
     return out

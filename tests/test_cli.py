@@ -6,7 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from handpose import bench, gesture_net, skin_segment
+from handpose import bench, cli, gesture_net, skin_segment
 from handpose.cli import main
 from handpose.haar_cascade import TreeNode, serialize_cascade
 from handpose.imaging import Image, load_pnm, save_pnm
@@ -106,6 +106,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "48x48" in err
+
+
+# subcommand: (its handler, minimal argv naming files that do not exist, seed)
+DISPATCH = {
+    "fit-skin": (cli._cmd_fit_skin, "--pixels p.csv --out s.txt", None),
+    "segment": (cli._cmd_segment, "--image f.ppm --model s.txt --out m.pgm", None),
+    "train": (cli._cmd_train, "--data d --out w.hgw --seed 7", 7),
+    "eval": (cli._cmd_eval, "--data d --weights w.hgw --report cm.csv", None),
+    "classify": (cli._cmd_classify, "--image m.pgm --weights w.hgw", None),
+    "detect": (cli._cmd_detect, "--image f.pgm --cascade c.xml", None),
+    "track": (cli._cmd_track, "--frames frames --init 1,2,30,30 --seed 8", 8),
+    "run": (cli._cmd_run, "--frames frames --skin s.txt --weights w.hgw --cascade c.xml --report r.json", 42),
+    "bench": (cli._cmd_bench, "--weights w.hgw --seed 9", 9),
+}
+
+
+@pytest.mark.parametrize("command", DISPATCH, ids=list(DISPATCH))
+def test_subcommand_names_its_handler(command, capsys, tmp_path, monkeypatch):
+    # the handler comes from the subparser; main echoes the seed of the
+    # subcommands that take --seed first, before the handler fails
+    handler, flags, seed = DISPATCH[command]
+    argv = [command, *flags.split()]
+    assert cli.build_parser().parse_args(argv).run is handler
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    if seed is None:
+        assert out == ""
+    else:
+        assert out.splitlines()[0] == f"effective seed {seed}"
 
 
 def _detect_args(model, *flags):
@@ -404,6 +435,30 @@ class TestBench:
         payload = json.loads(report_path.read_text())
         jsonschema.validate(payload, load_schema("bench_report.schema.json"))
         assert payload["iterations"] == 2 * 8
+
+    def test_pipeline_mode_warmup_replays_untimed(self, monkeypatch, capsys, session_assets, tmp_path):
+        calls = []
+        run_session = bench.run_session
+        monkeypatch.setattr(bench, "run_session", lambda frames, cfg: calls.append(1) or run_session(frames, cfg))
+        report_path = tmp_path / "bench.json"
+        code = main(
+            [
+                "bench",
+                "--mode", "pipeline",
+                "--weights", str(session_assets["weights"]),
+                "--frames", str(session_assets["frames"]),
+                "--skin", str(session_assets["skin"]),
+                "--cascade", str(session_assets["cascade"]),
+                "--iters", "1",
+                "--warmup", "2",
+                "--report", str(report_path),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(report_path.read_text())
+        assert payload["warmup"] == 2
+        assert payload["iterations"] == 8
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("mode", ["forward", "pipeline"])
     def test_weights_read_once(self, monkeypatch, capsys, session_assets, tmp_path, mode):

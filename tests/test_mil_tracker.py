@@ -80,17 +80,23 @@ class TestInit:
         frame = textured_frame((30, 30), patch)
         a = init_tracker(frame, (30, 30, 24, 24), FAST, seed=1)
         b = init_tracker(frame, (30, 30, 24, 24), FAST, seed=1)
-        assert np.array_equal(a.rect_x, b.rect_x)
+        assert np.array_equal(a.rects, b.rects)
         assert np.array_equal(a.rect_weight, b.rect_weight)
         assert np.array_equal(a.selected, b.selected)
         assert np.array_equal(a.mu1, b.mu1)
 
     def test_pool_layout(self):
-        # feature f owns rects feat_start[f]:feat_start[f + 1], 2 to 4 of them
+        # feature f owns rects feat_start[f]:feat_start[f + 1], 2 to 4 of them;
+        # each row of rects is one (x, y, w, h) inside the 24x24 box
         frame = textured_frame((30, 30), make_patch())
         state = init_tracker(frame, (30, 30, 24, 24), FAST, seed=1)
         counts = np.diff(state.feat_start)
-        assert state.feat_start[0] == 0 and state.feat_start[-1] == len(state.rect_x)
+        assert state.feat_start[0] == 0
+        assert state.rects.dtype == np.intp and state.rects.shape == (state.feat_start[-1], 4)
+        assert len(state.rect_weight) == len(state.rects)
+        x, y, w, h = state.rects.T
+        assert (x >= 0).all() and (y >= 0).all() and (w >= 1).all() and (h >= 1).all()
+        assert (x + w <= 24).all() and (y + h <= 24).all()
         assert len(counts) == FAST.num_features
         assert counts.min() >= 2 and counts.max() <= 4
 
@@ -188,12 +194,9 @@ class TestFeatureValues:
             for f in feats:
                 direct = 0.0
                 for r in range(state.feat_start[f], state.feat_start[f + 1]):
-                    x = lx + state.rect_x[r]
-                    y = ly + state.rect_y[r]
-                    direct += (
-                        state.rect_weight[r]
-                        * px[y : y + state.rect_h[r], x : x + state.rect_w[r]].sum()
-                    )
+                    rx, ry, rw, rh = state.rects[r]
+                    x, y = lx + rx, ly + ry
+                    direct += state.rect_weight[r] * px[y : y + rh, x : x + rw].sum()
                 assert abs(vals[li, f] - direct / area) < 1e-6
 
     def test_bit_exact_against_rect_oracle(self):
