@@ -1,7 +1,7 @@
 """Command-line surface: every pipeline capability plus the latency bench.
 
-Exit codes: 0 success, 1 domain error (one diagnostic line on stderr),
-2 usage error (argparse prints usage).
+Exit codes: 0 success, 1 ValueError (every domain error) or OSError (one
+diagnostic line on stderr), 2 usage error (argparse prints usage).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         print(f"effective seed {args.seed}")
     try:
         args.run(args)
-    except (HandposeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

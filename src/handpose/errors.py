@@ -1,109 +1,26 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every domain error is a HandposeError, and every HandposeError is a
+ValueError, so one `except ValueError` catches them all. Only the
+failures that a caller tells apart keep a subclass.
+"""
 
 
-class HandposeError(Exception):
+class HandposeError(ValueError):
     """Base class for all domain errors."""
 
 
-# imaging
-class MalformedHeader(HandposeError):
-    pass
-
-
-class TruncatedBody(HandposeError):
-    pass
-
-
-class UnsupportedMaxval(HandposeError):
-    pass
-
-
-class WrongChannelCount(HandposeError):
-    pass
-
-
-class ZeroDimension(HandposeError):
-    pass
-
-
-# tensor / network
-class ShapeMismatch(HandposeError):
-    pass
-
-
-class OddDimension(HandposeError):
-    pass
-
-
-class LabelOutOfRange(HandposeError):
-    pass
-
-
-# dataset
-class WrongSize(HandposeError):
-    pass
-
-
-class EmptyClass(HandposeError):
-    pass
-
-
-class NonContiguousLabels(HandposeError):
-    pass
-
-
-# weight files
-class BadMagic(HandposeError):
-    pass
-
-
-class VersionMismatch(HandposeError):
-    pass
-
-
-class ChecksumMismatch(HandposeError):
-    pass
-
-
-# skin model
-class EmptyInput(HandposeError):
-    pass
-
-
-# cascade
-class XmlSyntax(HandposeError):
-    pass
-
-
 class SchemaViolation(HandposeError):
-    pass
+    """A cascade document is well-formed XML but not a valid cascade."""
 
 
 class RectOutOfWindow(HandposeError):
-    pass
+    """A cascade feature's rect lies outside the detection window."""
 
 
 class ImageTooSmall(HandposeError):
-    pass
-
-
-# tracker
-class BoxOutOfFrame(HandposeError):
-    pass
-
-
-class DegenerateBox(HandposeError):
-    pass
+    """A frame is smaller than the cascade's window."""
 
 
 class PatchOutOfFrame(HandposeError):
-    pass
-
-
-# pipeline / cli
-class EmptyHistory(HandposeError):
-    pass
-
-
-class ConfigLoadError(HandposeError):
-    pass
+    """A tracked frame's size differs from the frame the tracker started on."""

@@ -15,17 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rand
-from .errors import (
-    BadMagic,
-    ChecksumMismatch,
-    EmptyClass,
-    LabelOutOfRange,
-    NonContiguousLabels,
-    ShapeMismatch,
-    TruncatedBody,
-    VersionMismatch,
-    WrongSize,
-)
+from .errors import HandposeError
 from .imaging import BinaryMask, load_pnm
 from .tensor_nn import (
     Conv2D,
@@ -156,20 +146,20 @@ def load_dataset(root, mode: str = "otsu", threshold: int = 128) -> Dataset:
     label_dirs = sorted(d for d in root.iterdir() if d.is_dir() and d.name.isdigit())
     labels = sorted(int(d.name) for d in label_dirs)
     if labels != list(range(len(labels))):
-        raise NonContiguousLabels(f"class directories {labels} are not 0..{len(labels) - 1}")
+        raise HandposeError(f"class directories {labels} are not 0..{len(labels) - 1}")
     if not labels:
-        raise EmptyClass(f"no class directories under {root}")
+        raise HandposeError(f"no class directories under {root}")
     if len(labels) > NUM_CLASSES:
-        raise LabelOutOfRange(f"{len(labels)} class directories, the network has {NUM_CLASSES} classes")
+        raise HandposeError(f"{len(labels)} class directories, the network has {NUM_CLASSES} classes")
     samples = []
     for d in sorted(label_dirs, key=lambda p: int(p.name)):
         files = sorted(d.glob("*.pgm"))
         if not files:
-            raise EmptyClass(f"class directory {d} has no .pgm files")
+            raise HandposeError(f"class directory {d} has no .pgm files")
         for f in files:
             img = load_pnm(f.read_bytes())
             if img.width != INPUT_SIDE or img.height != INPUT_SIDE or img.channels != 1:
-                raise WrongSize(f"{f}: expected {INPUT_SIDE}x{INPUT_SIDE} grayscale")
+                raise HandposeError(f"{f}: expected {INPUT_SIDE}x{INPUT_SIDE} grayscale")
             samples.append((binarize(img.pixels[:, :, 0], mode, threshold), int(d.name)))
     return Dataset(samples)
 
@@ -322,18 +312,18 @@ def save_weights(net: Network) -> bytes:
 def load_weights(data: bytes) -> Network:
     """Parse a weight container into a network built around its arrays."""
     if len(data) < 12 + 4:
-        raise TruncatedBody("weight file shorter than its fixed header")
+        raise HandposeError("weight file shorter than its fixed header")
     if data[:4] != WEIGHTS_MAGIC:
-        raise BadMagic(f"bad magic {data[:4]!r}")
+        raise HandposeError(f"bad magic {data[:4]!r}")
     (crc_stored,) = struct.unpack("<I", data[-4:])
     body = memoryview(data)[:-4]  # no copy of the file's bytes
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumMismatch("CRC32 mismatch")
+        raise HandposeError("CRC32 mismatch")
     version, count = struct.unpack("<II", data[4:12])
     if version != WEIGHTS_VERSION:
-        raise VersionMismatch(f"unsupported version {version}")
+        raise HandposeError(f"unsupported version {version}")
     if count != len(PARAM_LAYERS):
-        raise ShapeMismatch(f"expected {len(PARAM_LAYERS)} layer records, found {count}")
+        raise HandposeError(f"expected {len(PARAM_LAYERS)} layer records, found {count}")
     pos = 12
     layers = []
     for cls, shape in PARAM_LAYERS:
@@ -343,12 +333,12 @@ def load_weights(data: bytes) -> Network:
             dims = struct.unpack_from(f"<{rank}I", body, pos)
             pos += 4 * rank
         except struct.error as exc:
-            raise TruncatedBody("layer record header truncated") from exc
+            raise HandposeError("layer record header truncated") from exc
         if kind != _KIND_CODES[cls.kind] or dims != shape:
-            raise ShapeMismatch(f"layer record {dims} does not match network {shape}")
+            raise HandposeError(f"layer record {dims} does not match network {shape}")
         n_w, n_b = int(np.prod(dims)), shape[0]
         if pos + 4 * (n_w + n_b) > len(body):
-            raise TruncatedBody("weight payload truncated")
+            raise HandposeError("weight payload truncated")
         # astype copies: owned, writable, native float32 arrays
         w = np.frombuffer(body, "<f4", n_w, pos).reshape(dims).astype(np.float32)
         pos += 4 * n_w
@@ -356,14 +346,14 @@ def load_weights(data: bytes) -> Network:
         pos += 4 * n_b
         _require_finite(layers[-1])
     if pos != len(body):
-        raise ShapeMismatch("trailing bytes after last layer record")
+        raise HandposeError("trailing bytes after last layer record")
     return _chain(*layers)
 
 
 def classify_mask(net: Network, mask: BinaryMask):
     """Predicted label and softmax confidence for one 48x48 mask."""
     if mask.width != INPUT_SIDE or mask.height != INPUT_SIDE:
-        raise WrongSize(f"classifier input must be {INPUT_SIDE}x{INPUT_SIDE}")
+        raise HandposeError(f"classifier input must be {INPUT_SIDE}x{INPUT_SIDE}")
     logits = net.forward(mask.bits.astype(np.float32)[None, None])[0]
     probs = softmax(logits.astype(np.float64))
     label = int(logits.argmax())

@@ -40,12 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ImageTooSmall,
-    RectOutOfWindow,
-    SchemaViolation,
-    XmlSyntax,
-)
+from .errors import HandposeError, ImageTooSmall, RectOutOfWindow, SchemaViolation
 from .imaging import Image, hook_min_roots, integral_image
 
 
@@ -170,7 +165,7 @@ def parse_cascade(doc: str) -> CascadeModel:
     try:
         root = ET.fromstring(doc)
     except ET.ParseError as exc:
-        raise XmlSyntax(str(exc)) from exc
+        raise HandposeError(str(exc)) from exc
     if root.tag != "cascade":
         raise SchemaViolation(f"root must be <cascade>, got <{root.tag}>")
     _only_children(root, {"size", "stages"})

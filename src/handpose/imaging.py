@@ -6,13 +6,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    MalformedHeader,
-    TruncatedBody,
-    UnsupportedMaxval,
-    WrongChannelCount,
-    ZeroDimension,
-)
+from .errors import HandposeError
 
 
 class Image:
@@ -25,9 +19,9 @@ class Image:
         if arr.ndim == 2:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-            raise WrongChannelCount(f"expected 1 or 3 channels, got shape {arr.shape}")
+            raise HandposeError(f"expected 1 or 3 channels, got shape {arr.shape}")
         if arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ZeroDimension("image dimensions must be positive")
+            raise HandposeError("image dimensions must be positive")
         self.pixels = arr
 
     @property
@@ -61,9 +55,9 @@ class BinaryMask:
     def __init__(self, bits):
         arr = np.asarray(bits).astype(bool)
         if arr.ndim != 2:
-            raise ZeroDimension(f"mask must be 2-D, got shape {arr.shape}")
+            raise HandposeError(f"mask must be 2-D, got shape {arr.shape}")
         if arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ZeroDimension("mask dimensions must be positive")
+            raise HandposeError("mask dimensions must be positive")
         self.bits = arr
 
     @property
@@ -162,7 +156,7 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise MalformedHeader("unexpected end of header")
+        raise HandposeError("unexpected end of header")
     start = pos
     while pos < n and not data[pos : pos + 1].isspace():
         pos += 1
@@ -173,28 +167,28 @@ def load_pnm(data: bytes) -> Image:
     """Parse a binary PGM (P5) or PPM (P6) with maxval 255."""
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
-        raise MalformedHeader(f"unsupported magic {magic!r}")
+        raise HandposeError(f"unsupported magic {magic!r}")
     channels = 1 if magic == b"P5" else 3
     pos = 2
     fields = []
     for _ in range(3):
         token, pos = _read_header_token(data, pos)
         if not token.isdigit():
-            raise MalformedHeader(f"non-numeric header field {token!r}")
+            raise HandposeError(f"non-numeric header field {token!r}")
         fields.append(int(token))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
-        raise MalformedHeader("non-positive dimensions")
+        raise HandposeError("non-positive dimensions")
     if maxval != 255:
-        raise UnsupportedMaxval(f"maxval {maxval} not supported")
+        raise HandposeError(f"maxval {maxval} not supported")
     # exactly one whitespace byte separates maxval from the body
     if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise MalformedHeader("missing separator after maxval")
+        raise HandposeError("missing separator after maxval")
     pos += 1
     expected = width * height * channels
     body = data[pos : pos + expected]
     if len(body) < expected:
-        raise TruncatedBody(f"expected {expected} body bytes, got {len(body)}")
+        raise HandposeError(f"expected {expected} body bytes, got {len(body)}")
     arr = np.frombuffer(body, dtype=np.uint8).reshape(height, width, channels)
     return Image(arr)
 
@@ -267,7 +261,7 @@ def _luma_plane(r, g, b) -> np.ndarray:
 def rgb_to_ycbcr(img: Image) -> Image:
     """BT.601 full-range conversion, rounding half up (Y: down at _Y_LOW_TIES)."""
     if img.channels != 3:
-        raise WrongChannelCount(f"need 3 channels, got {img.channels}")
+        raise HandposeError(f"need 3 channels, got {img.channels}")
     r, g, b = _planes(img)
     out = np.empty(img.pixels.shape, dtype=np.uint8)
     out[:, :, 0] = _luma_plane(r, g, b)
@@ -292,7 +286,7 @@ def _nearest_indices(dst: int, src: int) -> np.ndarray:
 def resize_nearest(obj, w: int, h: int):
     """Nearest-neighbor resize; preserves the kind (Image or BinaryMask)."""
     if w <= 0 or h <= 0:
-        raise ZeroDimension("target dimensions must be positive")
+        raise HandposeError("target dimensions must be positive")
     ys = _nearest_indices(h, obj.height)
     xs = _nearest_indices(w, obj.width)
     if isinstance(obj, BinaryMask):
@@ -309,7 +303,7 @@ def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
     [0, M] with M = 255 * h * w, so every partial result of a rect sum
     a - b - c + d lies in [-2M, 2M]."""
     if gray.channels != 1:
-        raise WrongChannelCount(f"need 1 channel, got {gray.channels}")
+        raise HandposeError(f"need 1 channel, got {gray.channels}")
     px = gray.pixels[:, :, 0]
     h, w = px.shape
     dt = np.int32 if 2 * 255 * h * w < 2**31 else np.int64

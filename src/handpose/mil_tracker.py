@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import rand
-from .errors import BoxOutOfFrame, DegenerateBox, PatchOutOfFrame
+from .errors import HandposeError, PatchOutOfFrame
 from .imaging import Image, IntegralTable, integral_image, luma
 
 
@@ -287,10 +287,12 @@ def init_tracker(frame: Image, bbox, params: MILParams = MILParams(), seed: int 
     """Seeded feature pool plus one bag update at the initial box; the
     frame is RGB or gray."""
     x, y, w, h = bbox
+    if w < 1 or h < 1:
+        raise HandposeError(f"bbox {bbox} needs positive width and height")
     if w * h < 16:
-        raise DegenerateBox(f"bbox area {w * h} below minimum 16")
+        raise HandposeError(f"bbox area {w * h} below minimum 16")
     if x < 0 or y < 0 or x + w > frame.width or y + h > frame.height:
-        raise BoxOutOfFrame(f"bbox {bbox} outside {frame.width}x{frame.height} frame")
+        raise HandposeError(f"bbox {bbox} outside {frame.width}x{frame.height} frame")
     rects, rect_weight, feat_start = _generate_features(w, h, params.num_features, seed)
     m = params.num_features
     state = TrackerState(

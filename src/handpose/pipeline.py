@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import gesture_net, haar_cascade, mil_tracker, skin_segment
-from .errors import ConfigLoadError, EmptyHistory, HandposeError, PatchOutOfFrame
+from .errors import HandposeError, PatchOutOfFrame
 from .imaging import Image, load_pnm, luma, square_in_frame
 
 DETECTING = "DETECTING"
@@ -45,12 +45,9 @@ class PipelineConfig:
 
     @staticmethod
     def load(skin_path, weights_path, cascade_path, **kwargs) -> "PipelineConfig":
-        try:
-            skin = skin_segment.SkinModel.from_text(Path(skin_path).read_text())
-            net = gesture_net.load_weights(Path(weights_path).read_bytes())
-            cascade = haar_cascade.parse_cascade(Path(cascade_path).read_text())
-        except (OSError, ValueError, HandposeError) as exc:
-            raise ConfigLoadError(str(exc)) from exc
+        skin = skin_segment.SkinModel.from_text(Path(skin_path).read_text())
+        net = gesture_net.load_weights(Path(weights_path).read_bytes())
+        cascade = haar_cascade.parse_cascade(Path(cascade_path).read_text())
         return PipelineConfig(skin, net, cascade, **kwargs)
 
 
@@ -76,7 +73,7 @@ class FrameOutput:
 def smooth_label(history) -> int:
     """Majority vote; ties resolve to the most recent among tied labels."""
     if not history:
-        raise EmptyHistory("label history is empty")
+        raise HandposeError("label history is empty")
     # max keeps the first of equal counts, so the most recent tied label
     return max(reversed(history), key=Counter(history).__getitem__)
 
@@ -192,5 +189,5 @@ def load_frame_dir(path):
     iterator that decodes each frame when it is reached."""
     files = sorted(p for p in Path(path).iterdir() if p.suffix in (".ppm", ".pgm"))
     if not files:
-        raise ConfigLoadError(f"no frames under {path}")
+        raise HandposeError(f"no frames under {path}")
     return (load_pnm(p.read_bytes()) for p in files)

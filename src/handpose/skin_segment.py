@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, WrongChannelCount
+from .errors import HandposeError
 from .gesture_net import INPUT_SIDE
 from .imaging import BinaryMask, Image, hook_min_roots, resize_nearest, rgb_to_ycbcr, square_in_frame
 
@@ -87,7 +87,7 @@ def fit_skin_model(pixels, alpha: float = 0.025) -> SkinModel:
     labeled skin pixels given as (R,G,B) rows."""
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.size == 0:
-        raise EmptyInput("need at least one training pixel")
+        raise HandposeError("need at least one training pixel")
     if not 0 <= alpha < 0.5:
         raise ValueError("alpha must be in [0, 0.5)")
     intervals = np.zeros((6, 2), dtype=np.int64)
@@ -100,7 +100,7 @@ def fit_skin_model(pixels, alpha: float = 0.025) -> SkinModel:
 def classify_pixels(img: Image, model: SkinModel) -> BinaryMask:
     """A pixel is skin iff all six channel values fall inside their intervals."""
     if img.channels != 3:
-        raise WrongChannelCount("skin classification needs RGB input")
+        raise HandposeError("skin classification needs RGB input")
     skin = np.ones((img.height, img.width), dtype=bool)
     for plane, (lo, hi) in zip(_six_planes(img), model.intervals.tolist()):
         skin &= plane >= lo

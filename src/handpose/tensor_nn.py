@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rand
-from .errors import LabelOutOfRange, OddDimension, ShapeMismatch
+from .errors import HandposeError
 
 
 def initial_params(shape, seed, dtype):
@@ -54,7 +54,7 @@ def _as_batch(x: np.ndarray, rank: int):
         return x[None], True
     if x.ndim == rank + 1:
         return x, False
-    raise ShapeMismatch(f"expected rank {rank} or {rank + 1}, got {x.ndim}")
+    raise HandposeError(f"expected rank {rank} or {rank + 1}, got {x.ndim}")
 
 
 def _unbatch(y: np.ndarray, single: bool) -> np.ndarray:
@@ -84,9 +84,9 @@ class Conv2D(ParamLayer):
         n, c, h, w = x.shape
         out_c, in_c, k, _ = self.w.shape
         if c != in_c:
-            raise ShapeMismatch(f"conv expects {in_c} channels, got {c}")
+            raise HandposeError(f"conv expects {in_c} channels, got {c}")
         if h < k or w < k:
-            raise ShapeMismatch(f"input {h}x{w} smaller than kernel {k}")
+            raise HandposeError(f"input {h}x{w} smaller than kernel {k}")
         cols, oh, ow = self._im2col(x)
         self._cols = cols
         self._in_shape = x.shape
@@ -98,7 +98,7 @@ class Conv2D(ParamLayer):
         grad_out, single = _as_batch(grad_out, 3)
         n, oc, oh, ow = grad_out.shape
         if oc != self.w.shape[0] or self._cols is None:
-            raise ShapeMismatch("backward shape inconsistent with last forward")
+            raise HandposeError("backward shape inconsistent with last forward")
         g = grad_out.reshape(n, oc, oh * ow)
         self.gw += np.einsum("nop,nfp->of", g, self._cols).reshape(self.w.shape)
         self.gb += g.sum(axis=(0, 2))
@@ -124,7 +124,7 @@ class MaxPool2x2:
         x, single = _as_batch(x, 3)
         n, c, h, w = x.shape
         if h % 2 or w % 2:
-            raise OddDimension(f"pooling needs even dims, got {h}x{w}")
+            raise HandposeError(f"pooling needs even dims, got {h}x{w}")
         blocks = x.reshape(n, c, h // 2, 2, w // 2, 2)
         flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
         self._argmax = flat.argmax(axis=-1)
@@ -136,7 +136,7 @@ class MaxPool2x2:
         grad_out, single = _as_batch(grad_out, 3)
         n, c, oh, ow = grad_out.shape
         if self._argmax is None or self._argmax.shape != grad_out.shape:
-            raise ShapeMismatch("backward shape inconsistent with last forward")
+            raise HandposeError("backward shape inconsistent with last forward")
         gflat = np.zeros((n, c, oh, ow, 4), dtype=grad_out.dtype)
         np.put_along_axis(gflat, self._argmax[..., None], grad_out[..., None], axis=-1)
         gx = (
@@ -156,7 +156,7 @@ class ReLU:
 
     def backward(self, grad_out):
         if self._mask is None or self._mask.shape != grad_out.shape:
-            raise ShapeMismatch("backward shape inconsistent with last forward")
+            raise HandposeError("backward shape inconsistent with last forward")
         return np.where(self._mask, grad_out, 0)
 
 
@@ -185,14 +185,14 @@ class Dense(ParamLayer):
     def forward(self, x):
         x, single = _as_batch(x, 1)
         if x.shape[1] != self.w.shape[1]:
-            raise ShapeMismatch(f"dense expects {self.w.shape[1]} inputs, got {x.shape[1]}")
+            raise HandposeError(f"dense expects {self.w.shape[1]} inputs, got {x.shape[1]}")
         self._x = x
         return _unbatch(x @ self.w.T + self.b, single)
 
     def backward(self, grad_out):
         grad_out, single = _as_batch(grad_out, 1)
         if grad_out.shape[1] != self.w.shape[0] or self._x is None:
-            raise ShapeMismatch("backward shape inconsistent with last forward")
+            raise HandposeError("backward shape inconsistent with last forward")
         self.gw += grad_out.T @ self._x
         self.gb += grad_out.sum(axis=0)
         return _unbatch(grad_out @ self.w, single)
@@ -216,7 +216,7 @@ def softmax_xent_batch(logits: np.ndarray, labels: np.ndarray):
     n, k = logits.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= k:
-        raise LabelOutOfRange("label outside logit range")
+        raise HandposeError("label outside logit range")
     p = softmax(logits.astype(np.float64))
     picked = p[np.arange(n), labels]
     loss = float(-np.log(np.maximum(picked, np.finfo(np.float64).tiny)).mean())

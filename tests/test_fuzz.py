@@ -1,18 +1,20 @@
 """Seeded mutation fuzzing of the four formats the library parses: weight
 files, PNM images, cascade XML and skin-model text. Every mutant must load
-or raise HandposeError or ValueError, the two kinds that the CLI reports
-as one `error:` line; any other exception is a crash. The same mutants,
-written as input files, go through the CLI subcommands that read them."""
+or raise ValueError (every HandposeError is one), the kind that the CLI
+reports as one `error:` line; any other exception is a crash. The same
+mutants, written as input files, go through the CLI subcommands that read
+them."""
 
+import re
 import struct
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from handpose import gesture_net, rand
 from handpose.cli import main
-from handpose.errors import HandposeError, ShapeMismatch, TruncatedBody
 from handpose.haar_cascade import parse_cascade, serialize_cascade
 from handpose.imaging import Image, load_pnm, save_pnm
 from handpose.skin_segment import SkinModel
@@ -91,19 +93,21 @@ FORMATS = {
 @pytest.mark.parametrize("fmt", FORMATS, ids=list(FORMATS))
 def test_mutant_loads_or_raises_domain_error(fmt):
     make, load = FORMATS[fmt]
-    rejected = {}
+    rejected = Counter()
     for i, mutant in enumerate(make()):
         try:
             load(mutant)
-        except (HandposeError, ValueError) as exc:
-            rejected[type(exc)] = rejected.get(type(exc), 0) + 1
+        except ValueError as exc:
+            rejected[str(exc)] += 1
         except Exception as exc:
             pytest.fail(f"{fmt} mutant {i} raised {type(exc).__name__}: {exc}")
     # both outcomes occur, so the edits neither miss nor always break the format
-    assert 0 < sum(rejected.values()) < MUTANTS, rejected
+    assert 0 < rejected.total() < MUTANTS, rejected
     if fmt == "weights":
-        # the re-stamped CRC lets mutants reach the record checks
-        assert rejected.get(ShapeMismatch) and rejected.get(TruncatedBody), rejected
+        # the re-stamped CRC lets mutants reach the record checks: a record
+        # that does not fit the network, and one cut short
+        assert any(re.search("layer records, found|does not match|trailing bytes", m) for m in rejected), rejected
+        assert any(re.search("truncated|shorter than", m) for m in rejected), rejected
 
 
 # ---------------------------------------------------------- through the CLI

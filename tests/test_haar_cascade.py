@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from handpose import haar_cascade, rand
-from handpose.errors import (
-    ImageTooSmall,
-    RectOutOfWindow,
-    SchemaViolation,
-    XmlSyntax,
-)
+from handpose.errors import HandposeError, ImageTooSmall, RectOutOfWindow, SchemaViolation
 from handpose.haar_cascade import (
     CascadeModel,
     Stage,
@@ -121,26 +116,34 @@ class TestParse:
             parse_cascade(doc)
 
     def test_xml_syntax_error(self):
-        with pytest.raises(XmlSyntax):
+        with pytest.raises(HandposeError, match="no element found"):
             parse_cascade("<cascade><size>20 20")
 
     @pytest.mark.parametrize(
         "mutation",
         [
-            ("<stage_threshold>0.5</stage_threshold>", ""),  # missing threshold
-            ("<node_threshold>0.25</node_threshold>", ""),  # missing node threshold
-            ("<left_val>-1.0</left_val>", ""),  # missing left branch
-            ("<left_val>-1.0</left_val>", "<left_node>5</left_node>"),  # child out of range
-            ("<rect>0 0 10 20 -1.0</rect>", ""),  # single rect
-            ("<rect>10 0 10 20 2.0</rect>", "<rect>10 0 10 20 -2.0</rect>"),  # no positive weight
-            ("<size>20 20</size>", "<size>20</size>"),  # malformed size
-            ("<trees>", "<branches>"),  # renamed required node (also breaks </trees>)
+            # missing threshold
+            ("<stage_threshold>0.5</stage_threshold>", "", "exactly one <stage_threshold>"),
+            # missing node threshold
+            ("<node_threshold>0.25</node_threshold>", "", "exactly one <node_threshold>"),
+            # missing left branch
+            ("<left_val>-1.0</left_val>", "", "exactly one left_val or left_node"),
+            # child out of range
+            ("<left_val>-1.0</left_val>", "<left_node>5</left_node>", "child index 5 not in"),
+            # single rect
+            ("<rect>0 0 10 20 -1.0</rect>", "", "at least 2 rects"),
+            # no positive weight
+            ("<rect>10 0 10 20 2.0</rect>", "<rect>10 0 10 20 -2.0</rect>", "positive and negative"),
+            # malformed size
+            ("<size>20 20</size>", "<size>20</size>", "<size> needs 'W H'"),
+            # renamed required node (also breaks </trees>)
+            ("<trees>", "<branches>", "mismatched tag"),
         ],
     )
     def test_schema_mutations_rejected(self, mutation):
-        old, new = mutation
+        old, new, match = mutation
         doc = MINIMAL_XML.replace(old, new)
-        with pytest.raises((SchemaViolation, XmlSyntax)):
+        with pytest.raises(HandposeError, match=re.escape(match)):
             parse_cascade(doc)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])

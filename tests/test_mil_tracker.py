@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from handpose import imaging, mil_tracker, rand
-from handpose.errors import BoxOutOfFrame, DegenerateBox, PatchOutOfFrame
+from handpose.errors import HandposeError, PatchOutOfFrame
 from handpose.imaging import Image, integral_image, luma
 from handpose.mil_tracker import (
     MILParams,
@@ -127,13 +127,19 @@ class TestInit:
 
     def test_box_out_of_frame(self):
         frame = textured_frame((0, 0), make_patch())
-        with pytest.raises(BoxOutOfFrame):
+        with pytest.raises(HandposeError, match="outside 160x120 frame"):
             init_tracker(frame, (150, 30, 24, 24), FAST, seed=4)
 
     def test_degenerate_box(self):
         frame = textured_frame((0, 0), make_patch())
-        with pytest.raises(DegenerateBox):
+        with pytest.raises(HandposeError, match="bbox area 9 below minimum 16"):
             init_tracker(frame, (10, 10, 3, 3), FAST, seed=5)
+
+    def test_negative_side_rejected(self):
+        # the area of (-4, -4) passes the minimum; numpy must not see the box
+        frame = textured_frame((0, 0), make_patch())
+        with pytest.raises(HandposeError, match=r"bbox \(10, 10, -4, -4\) needs positive width"):
+            init_tracker(frame, (10, 10, -4, -4), FAST, seed=5)
 
 
 class TestMilScore:

@@ -1,12 +1,13 @@
 import itertools
 import json
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 
 from handpose import gesture_net, mil_tracker, pipeline, skin_segment
-from handpose.errors import ConfigLoadError, EmptyHistory
+from handpose.errors import HandposeError
 from handpose.haar_cascade import CascadeModel, Stage, Tree, TreeNode, WeightedRect
 from handpose.imaging import Image, luma, save_pnm
 from handpose.pipeline import (
@@ -97,7 +98,7 @@ class TestSmoothLabel:
         assert smooth_label([1, 2, 1, 2]) == 2
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyHistory):
+        with pytest.raises(HandposeError, match="label history is empty"):
             smooth_label([])
 
     def test_single_outlier_does_not_flip(self):
@@ -346,10 +347,9 @@ class TestSyntheticSession:
 
 class TestConfigLoad:
     def test_missing_files_raise_config_error(self, tmp_path):
-        with pytest.raises(ConfigLoadError):
-            PipelineConfig.load(
-                tmp_path / "skin.txt", tmp_path / "w.hgw", tmp_path / "c.xml"
-            )
+        skin = tmp_path / "skin.txt"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(skin))):
+            PipelineConfig.load(skin, tmp_path / "w.hgw", tmp_path / "c.xml")
 
     def test_garbage_weights_raise_config_error(self, tmp_path):
         skin = tmp_path / "skin.txt"
@@ -358,7 +358,7 @@ class TestConfigLoad:
         weights.write_bytes(b"not a weight file")
         cascade = tmp_path / "c.xml"
         cascade.write_text("<cascade><size>20 20</size><stages></stages></cascade>")
-        with pytest.raises(ConfigLoadError):
+        with pytest.raises(HandposeError, match="bad magic"):
             PipelineConfig.load(skin, weights, cascade)
 
 
@@ -378,5 +378,5 @@ class TestLoadFrameDir:
 
     def test_empty_directory_raises_at_once(self, tmp_path):
         tmp_path.joinpath("notes.txt").write_text("no frames here")
-        with pytest.raises(ConfigLoadError):
+        with pytest.raises(HandposeError, match="no frames under"):
             pipeline.load_frame_dir(tmp_path)

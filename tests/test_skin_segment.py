@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from handpose import rand
-from handpose.errors import EmptyInput
+from handpose.errors import HandposeError
 from handpose.imaging import BinaryMask, Image
 from handpose.skin_segment import (
     SkinModel,
@@ -50,7 +50,7 @@ class TestFitSkinModel:
         assert model.intervals[0].tolist() == [10, 90]
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(HandposeError, match="need at least one training pixel"):
             fit_skin_model(np.zeros((0, 3), dtype=np.uint8), 0.0)
 
     def test_text_round_trip(self):
