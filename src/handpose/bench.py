@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rand
+from .errors import HandposeError
 from .gesture_net import Network
 from .pipeline import PipelineConfig, latency_stats, run_session
 
@@ -45,7 +46,7 @@ class BenchReport:
 def bench_forward(net: Network, iters: int = 100, warmup: int = 10, seed: int = 42) -> BenchReport:
     """Time single-image forward passes on a fixed random binary input."""
     if iters < 1 or warmup < 0:
-        raise ValueError("need iters >= 1 and warmup >= 0")
+        raise HandposeError("need iters >= 1 and warmup >= 0")
     bits = rand.generator(seed, 3).integers(0, 2, size=(48, 48))
     x = bits.astype(np.float32)[None, None]
     for _ in range(warmup):
@@ -62,7 +63,7 @@ def bench_pipeline(frames, cfg: PipelineConfig, iters: int = 1, warmup: int = 0)
     """Replay a session `warmup` times untimed, then `iters` times; samples
     are per-frame total_ms."""
     if iters < 1 or warmup < 0:
-        raise ValueError("need iters >= 1 and warmup >= 0")
+        raise HandposeError("need iters >= 1 and warmup >= 0")
     for _ in range(warmup):
         run_session(frames, cfg)
     samples = []

@@ -137,7 +137,7 @@ def binarize(gray: np.ndarray, mode: str = "otsu", threshold: int = 128) -> Bina
         return BinaryMask(gray > t)
     if mode == "fixed":
         return BinaryMask(gray >= threshold)
-    raise ValueError(f"unknown binarize mode {mode!r}")
+    raise HandposeError(f"unknown binarize mode {mode!r}")
 
 
 def load_dataset(root, mode: str = "otsu", threshold: int = 128) -> Dataset:
@@ -177,11 +177,11 @@ class Hyper:
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
+            raise HandposeError("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
+            raise HandposeError("momentum must be in [0, 1)")
         if self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("batch_size and epochs must be positive")
+            raise HandposeError("batch_size and epochs must be positive")
 
 
 @dataclass
@@ -218,11 +218,11 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
     Keeps the best-validation weights; deterministic for a fixed seed.
     """
     if not 0 < split < 1:
-        raise ValueError("split must lie in (0, 1)")
+        raise HandposeError("split must lie in (0, 1)")
     x, y = data.as_arrays()
     tr, va = stratified_split(y, split, hyper.seed)
     if len(va) == 0:
-        raise ValueError("validation split is empty: at least one class needs 2 or more images")
+        raise HandposeError("validation split is empty: at least one class needs 2 or more images")
     xt, yt, xv, yv = x[tr], y[tr], x[va], y[va]
     epochs_log = []
     # every accuracy beats -1, so epoch 0 (epochs >= 1) sets best_state
@@ -289,7 +289,7 @@ _KIND_CODES = {"conv": 1, "dense": 2}
 
 def _require_finite(p):
     if not (np.isfinite(p.w).all() and np.isfinite(p.b).all()):
-        raise ValueError(f"non-finite {p.kind} layer parameters")
+        raise HandposeError(f"non-finite {p.kind} layer parameters")
 
 
 def save_weights(net: Network) -> bytes:

@@ -391,9 +391,9 @@ def detect_multiscale(
     then each scale goes through `_scan_scale`, smallest first.
     """
     if not 1.05 <= scale_factor < math.inf:
-        raise ValueError("scale_factor must be finite and >= 1.05")
+        raise HandposeError("scale_factor must be finite and >= 1.05")
     if not math.isfinite(step_fraction):
-        raise ValueError("step_fraction must be finite")
+        raise HandposeError("step_fraction must be finite")
     w0, h0 = model.window
     if gray.width < w0 or gray.height < h0:
         raise ImageTooSmall(f"frame {gray.width}x{gray.height} smaller than {w0}x{h0} window")

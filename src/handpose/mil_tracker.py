@@ -34,7 +34,7 @@ class MILParams:
 
     def __post_init__(self):
         if self.num_selected > self.num_features:
-            raise ValueError("num_selected cannot exceed num_features")
+            raise HandposeError("num_selected cannot exceed num_features")
 
 
 @dataclass

@@ -1,14 +1,15 @@
 """Per-frame orchestration: detect with the cascade, track with MIL,
 segment the tracked region, classify the 48x48 mask, smooth labels.
 
-The state machine has exactly two modes. DETECTING runs the cascade on
-the luma frame and, on a hit in an RGB frame (skin segmentation needs
-RGB), derives the tracked wrist box and starts the tracker. TRACKING drops
-back to DETECTING on a gray frame before the tracker runs; otherwise it
-advances the tracker on the frame as it is (the tracker takes the luma of
-the pixels it reads), drops back when the frame's size changed or
-confidence falls below its threshold, and else cuts the region around the
-tracked box, segments it and classifies.
+The state machine has exactly two modes, behind one guard: a frame that
+cannot hold a hand (gray, since skin segmentation needs RGB, or under
+MIN_SIDE px on a side) ends any track and is not scanned. DETECTING runs
+the cascade on the luma frame and, on a hit, derives the tracked wrist box
+and starts the tracker. TRACKING advances the tracker on the frame as it
+is (the tracker takes the luma of the pixels it reads), drops back to
+DETECTING when the frame's size changed or confidence falls below its
+threshold, and else cuts the region around the tracked box, segments it
+and classifies.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .imaging import Image, load_pnm, luma, square_in_frame
 
 DETECTING = "DETECTING"
 TRACKING = "TRACKING"
+MIN_SIDE = 4  # the floor wrist_box puts on the tracked side: init_tracker needs 16 px
 
 
 @dataclass
@@ -81,7 +83,7 @@ def smooth_label(history) -> int:
 def wrist_box(det_bbox, cfg: PipelineConfig, frame_w: int, frame_h: int):
     """Square tracked box derived from a detection per the config rule."""
     x, y, w, h = det_bbox
-    side = min(max(4, int(round(cfg.wrist_size_ratio * min(w, h)))), frame_w, frame_h)
+    side = min(max(MIN_SIDE, int(round(cfg.wrist_size_ratio * min(w, h)))), frame_w, frame_h)
     return square_in_frame(x + w / 2.0, y + cfg.wrist_vertical_anchor * h, side, frame_w, frame_h)
 
 
@@ -90,7 +92,10 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
     out = FrameOutput(frame_index=state.frame_index, mode=state.mode)
     t0 = time.perf_counter()
 
-    if state.mode == DETECTING:
+    if frame.channels != 3 or min(frame.width, frame.height) < MIN_SIDE:
+        state.tracker = None  # no hand can be on this frame
+        state.mode = DETECTING
+    elif state.mode == DETECTING:
         gray = luma(frame)
         td = time.perf_counter()
         try:
@@ -98,21 +103,17 @@ def advance(state: PipelineState, frame: Image, cfg: PipelineConfig):
         except haar_cascade.ImageTooSmall:
             detections = []
         out.timings["detect_ms"] = (time.perf_counter() - td) * 1000.0
-        if detections and frame.channels == 3:
+        if detections:
             box = wrist_box(detections[0].bbox, cfg, frame.width, frame.height)
             state.tracker = mil_tracker.init_tracker(gray, box, seed=cfg.seed)
             state.mode = TRACKING
             state.label_history = deque(maxlen=cfg.smoothing_window)
     else:
         tt = time.perf_counter()
-        result = None
-        # a gray frame (skin segmentation needs RGB), a resized frame and a
-        # low-confidence step all end the track: no hand on this frame
-        if frame.channels == 3:
-            try:
-                result = mil_tracker.track_step(state.tracker, frame)
-            except PatchOutOfFrame:  # the frame size changed mid-track
-                pass
+        try:
+            result = mil_tracker.track_step(state.tracker, frame)
+        except PatchOutOfFrame:  # the frame size changed mid-track
+            result = None
         out.timings["track_ms"] = (time.perf_counter() - tt) * 1000.0
         if result is None or not mil_tracker.confidence_ok(result, cfg.confidence_threshold):
             state.tracker = None
@@ -175,7 +176,7 @@ def run_session(frames, cfg: PipelineConfig) -> SessionReport:
         state, out = advance(state, frame, cfg)
         outputs.append(out)
     if not outputs:
-        raise ValueError("session needs at least one frame")
+        raise HandposeError("session needs at least one frame")
     aggregates = {}
     for key in ("total_ms", "detect_ms", "track_ms", "segment_ms", "classify_ms"):
         samples = [o.timings[key] for o in outputs if key in o.timings]

@@ -29,11 +29,11 @@ class SkinModel:
     def __post_init__(self):
         self.intervals = np.asarray(self.intervals, dtype=np.int64)
         if self.intervals.shape != (6, 2):
-            raise ValueError("intervals must be 6x2")
+            raise HandposeError("intervals must be 6x2")
         if np.any(self.intervals[:, 0] > self.intervals[:, 1]):
-            raise ValueError("interval lo > hi")
+            raise HandposeError("interval lo > hi")
         if not 0 <= self.alpha < 0.5:
-            raise ValueError("alpha must be in [0, 0.5)")
+            raise HandposeError("alpha must be in [0, 0.5)")
 
     def to_text(self) -> str:
         lines = [
@@ -47,21 +47,21 @@ class SkinModel:
     def from_text(text: str) -> "SkinModel":
         tokens = text.split()
         if len(tokens) != 6 * 3 + 2:
-            raise ValueError("skin model document has wrong token count")
+            raise HandposeError("skin model document has wrong token count")
         intervals = np.zeros((6, 2), dtype=np.int64)
         for i, name in enumerate(CHANNEL_NAMES):
             if tokens[3 * i] != name:
-                raise ValueError(f"expected channel {name}, got {tokens[3 * i]}")
+                raise HandposeError(f"expected channel {name}, got {tokens[3 * i]}")
             for j, tok in enumerate(tokens[3 * i + 1 : 3 * i + 3]):
                 try:
                     bound = int(tok)
                 except ValueError:
                     bound = -1
                 if not 0 <= bound <= 255:
-                    raise ValueError(f"channel {name} bound {tok!r} is not an integer in 0..255")
+                    raise HandposeError(f"channel {name} bound {tok!r} is not an integer in 0..255")
                 intervals[i, j] = bound
         if tokens[18] != "alpha":
-            raise ValueError("missing alpha line")
+            raise HandposeError("missing alpha line")
         return SkinModel(intervals, float(tokens[19]))
 
 
@@ -89,7 +89,7 @@ def fit_skin_model(pixels, alpha: float = 0.025) -> SkinModel:
     if pixels.size == 0:
         raise HandposeError("need at least one training pixel")
     if not 0 <= alpha < 0.5:
-        raise ValueError("alpha must be in [0, 0.5)")
+        raise HandposeError("alpha must be in [0, 0.5)")
     intervals = np.zeros((6, 2), dtype=np.int64)
     for c, plane in enumerate(_six_planes(Image(pixels.reshape(1, -1, 3)))):
         vals = np.sort(plane[0])
@@ -115,7 +115,7 @@ def _box_combine(mask: BinaryMask, iters: int, combine) -> BinaryMask:
     """`iters` times, combine each pixel's 3x3 box as a 1x3 pass then a 3x1
     pass, each padded with background."""
     if iters < 0:
-        raise ValueError("iters must be >= 0")
+        raise HandposeError("iters must be >= 0")
     bits = mask.bits
     h, w = bits.shape
     for _ in range(iters):

@@ -290,13 +290,15 @@ def detect_multiscale_oracle(model, gray, scale_factor=1.1, step_fraction=1.0, m
 
 
 def evaluate_at(model, integral, win):
-    """The library's evaluate_window on window (x, y, scale): compiles the
-    scale against `integral` with _compile_scale, as _scan_scale does."""
+    """The library's verdict on window (x, y, scale): _scan_scale at stride 1
+    on both tables cut to the window, whose one grid position is the window
+    (rect sums do not depend on the table's origin)."""
     x, y, scale = win
     ww = int(round(model.window[0] * scale))
     wh = int(round(model.window[1] * scale))
-    scan = haar_cascade._compile_scale(model, integral, scale, ww, wh)
-    return haar_cascade.evaluate_window(scan, y * integral.sum.shape[1] + x)
+    cut = (slice(y, y + wh + 1), slice(x, x + ww + 1))
+    window = IntegralTable(integral.sum[cut], integral.sqsum[cut])
+    return bool(haar_cascade._scan_scale(model, window, scale, ww, wh, 1))
 
 
 # ------------------------------------------------------ tracker oracles

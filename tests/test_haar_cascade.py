@@ -577,17 +577,14 @@ class TestScanExactness:
         passed = total = 0
         for _, model, gray, scale_factor in _cases(60, 24):
             table = integral_image(gray)
-            row = gray.width + 1
             for scale in _scales(model, gray, scale_factor):
                 ww = int(round(model.window[0] * scale))
                 wh = int(round(model.window[1] * scale))
-                scan = haar_cascade._compile_scale(model, table, scale, ww, wh)
-                for y in range(gray.height - wh + 1):
-                    for x in range(gray.width - ww + 1):
-                        want = evaluate_window_oracle(model, table, (x, y, scale))
-                        assert haar_cascade.evaluate_window(scan, y * row + x) == want, (x, y, scale)
-                        passed += want
-                        total += 1
+                grid = [(x, y) for y in range(gray.height - wh + 1) for x in range(gray.width - ww + 1)]
+                want = [(x, y, ww, wh) for x, y in grid if evaluate_window_oracle(model, table, (x, y, scale))]
+                assert haar_cascade._scan_scale(model, table, scale, ww, wh, 1) == want, scale
+                passed += len(want)
+                total += len(grid)
         # both outcomes occur, so the comparison is not vacuous
         assert 0.05 * total < passed < 0.95 * total
 

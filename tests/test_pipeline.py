@@ -52,6 +52,12 @@ def reject_all_cascade(win=WIN):
     return CascadeModel((win, win), [Stage(0.5, [Tree([node])])])
 
 
+def accept_all_cascade(win):
+    rects = [WeightedRect(0, 0, win, win, -1.0), WeightedRect(0, 0, win, win, 2.0)]
+    node = TreeNode(rects, threshold=0.0, left_val=0.0, right_val=0.0)
+    return CascadeModel((win, win), [Stage(-1.0, [Tree([node])])])
+
+
 def zero_network():
     net = gesture_net.build_network(seed=0)
     for layer in net.params():
@@ -206,20 +212,52 @@ class TestAdvance:
         state, out = advance(state, luma(frame), cfg)
         assert steps == []
         assert state.mode == DETECTING and state.tracker is None
-        assert set(out.timings) == {"track_ms", "total_ms"}
+        assert set(out.timings) == {"total_ms"}
 
     def test_gray_session_never_starts_the_tracker(self, monkeypatch):
-        # the cascade hits the gray square, but a gray frame cannot be
-        # segmented, so no track starts
+        # the cascade would hit the gray square, but a gray frame cannot be
+        # segmented, so it is never scanned and no track starts
         cfg = synthetic_config()
-        inits, hits = [], []
-        init_tracker, detect = mil_tracker.init_tracker, pipeline.haar_cascade.detect_multiscale
-        monkeypatch.setattr(mil_tracker, "init_tracker", lambda *a, **k: inits.append(a) or init_tracker(*a, **k))
-        monkeypatch.setattr(pipeline.haar_cascade, "detect_multiscale", lambda *a: hits.append(detect(*a)) or hits[-1])
+        calls = []
+        monkeypatch.setattr(mil_tracker, "init_tracker", lambda *a, **k: calls.append("init_tracker"))
+        monkeypatch.setattr(pipeline.haar_cascade, "detect_multiscale", lambda *a: calls.append("detect"))
         report = run_session([luma(scene((30 + 4 * i, 40))) for i in range(10)], cfg)
-        assert inits == []
-        assert all(hits) and len(hits) == 10
+        assert calls == []
         assert [f.mode for f in report.frames] == [DETECTING] * 10
+        assert all(set(f.timings) == {"total_ms"} for f in report.frames)
+
+    @pytest.mark.parametrize("size", [(3, 3), (3, 40), (40, 3)], ids=["3x3", "3x40", "40x3"])
+    def test_frame_under_min_side_never_crashes_the_session(self, size):
+        # a 2x2-window cascade hits every window of these frames, and a
+        # tracked box cannot be MIN_SIDE px in them, so they are not scanned
+        w, h = size
+        cfg = synthetic_config(cascade=accept_all_cascade(2))
+        frames = [Image(np.full((h, w, 3), SKIN_BASE, dtype=np.uint8)) for _ in range(4)]
+        report = run_session(frames, cfg)
+        assert [f.mode for f in report.frames] == [DETECTING] * 4
+
+    @pytest.mark.parametrize("mode", [DETECTING, TRACKING])
+    @pytest.mark.parametrize(
+        "frame",
+        [luma(scene((40, 40))), scene((0, 0), side=3, size=(3, 40))],
+        ids=["gray", "rgb-3x40"],
+    )
+    def test_frame_that_cannot_hold_a_hand_does_no_work(self, monkeypatch, frame, mode):
+        cfg = synthetic_config(cascade=accept_all_cascade(2))
+        calls = []
+        for module, name in [
+            (pipeline, "luma"),
+            (pipeline.haar_cascade, "detect_multiscale"),
+            (mil_tracker, "init_tracker"),
+            (mil_tracker, "track_step"),
+        ]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        state = PipelineState(mode, object() if mode == TRACKING else None, deque(maxlen=5))
+        state, out = advance(state, frame, cfg)
+        assert calls == []
+        assert state.mode == DETECTING and state.tracker is None
+        assert out.mode == mode and set(out.timings) == {"total_ms"}
+        assert out.hand_bbox is None and out.raw_label is None and out.confidence is None
 
     def test_hand_region_matches_clamp_oracle_on_every_box(self, monkeypatch):
         # the tracker stub returns the box it was given as its state
