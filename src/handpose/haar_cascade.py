@@ -262,15 +262,45 @@ def _scaled_rect(r: WeightedRect, scale: float):
 GROUP_BLOCK = 16
 
 
+def _window_norms(integral, ww: int, wh: int) -> np.ndarray:
+    """1 / (area * sigma) of every ww x wh window, a float64 array shaped
+    like the sum table with window (x, y) at [y, x], sigma the windowed
+    stddev clamped below at 1; entries of windows that leave the frame
+    are unspecified.
+
+    The ops run in the scalar order: mean = S / area, var = Q / area -
+    mean * mean, sigma = sqrt(max(var, 1)), 1.0 / (area * sigma). The box
+    sums S and Q are exact integers below 2**53, so adding their corners
+    in float64 is exact, and every op is correctly rounded, as Python's
+    int / int and math.sqrt are: each value is bit for bit the scalar
+    one. Builds in place: the output plus one scratch buffer."""
+    s, q = integral.sum, integral.sqsum
+    ny, nx = s.shape[0] - wh, s.shape[1] - ww
+    area = ww * wh
+    out = np.empty(s.shape)
+    mean, var = out[:ny, :nx], np.empty((ny, nx))
+    for box, t in ((mean, s), (var, q)):
+        np.subtract(t[wh:, ww:], t[:ny, ww:], out=box, dtype=np.float64)
+        box -= t[wh:, :nx]
+        box += t[:ny, :nx]
+        box /= area
+    var -= np.square(mean, out=mean)
+    # sqrt is monotone and sqrt(1) == 1, so this is sqrt(var) where
+    # var > 1 and 1 elsewhere
+    np.sqrt(np.maximum(var, 1.0, out=var), out=var)
+    var *= area
+    np.divide(1.0, var, out=mean)
+    return out
+
+
 def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int):
     """One scale of the scan, compiled against one frame's tables, as the
-    tuple evaluate_window reads: flat int views of the sum and squared-sum
-    tables, the window area, the window's top-right, bottom-left and
-    bottom-right corner offsets, then the stages. A window is named by
-    the flat index `base` of its top-left corner. Each node keeps its
-    rects as (weight, top-left, top-right, bottom-left, bottom-right)
-    offsets from `base`, then its threshold, left_val, left_child,
-    right_val and right_child."""
+    tuple evaluate_window reads: a flat int view of the sum table, a flat
+    float view of the scale's `_window_norms`, then the stages. A window
+    is named by the flat index `base` of its top-left corner, in both
+    views. Each node keeps its rects as (weight, top-left, top-right,
+    bottom-left, bottom-right) offsets from `base`, then its threshold,
+    left_val, left_child, right_val and right_child."""
 
     def compile_node(node):
         rects = tuple((r.weight, *integral.corners(*_scaled_rect(r, scale))) for r in node.rects)
@@ -280,27 +310,22 @@ def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int
         (stage.threshold, tuple(tuple(compile_node(n) for n in t.nodes) for t in stage.trees))
         for stage in model.stages
     )
-    views = memoryview(integral.sum.ravel()), memoryview(integral.sqsum.ravel())
-    return (*views, ww * wh, *integral.corners(0, 0, ww, wh)[1:], stages)
+    norms = _window_norms(integral, ww, wh)
+    return memoryview(integral.sum.ravel()), memoryview(norms.ravel()), stages
 
 
 def evaluate_window(scan: tuple, base: int) -> bool:
     """Pass/fail of the window whose top-left corner is flat index `base`.
 
-    Feature values are normalized by window area times the windowed
-    stddev (clamped below at 1 to keep flat regions finite). Every rect
-    sum is an exact int, and the float operations run in the order of
-    the scalar reference, so each value is bit for bit the same. The
-    caller keeps the window inside the frame: an index past a row's end
-    reads the next row instead of failing.
+    Each feature value is accumulated from 0.0 in rect order over exact
+    int rect sums, then multiplied by the window's normalization from
+    `_window_norms`, in the order of the scalar reference, so each value
+    is bit for bit the same. The caller keeps the window inside the
+    frame: an index past a row's end reads the next row instead of
+    failing.
     """
-    s, q, area, tr, bl, br, stages = scan
-    mean = (s[base + br] - s[base + tr] - s[base + bl] + s[base]) / area
-    var = (q[base + br] - q[base + tr] - q[base + bl] + q[base]) / area - mean * mean
-    # sqrt(max(var, 0)) clamped at 1: sqrt is correctly rounded and
-    # monotone, so it stays at or below 1 exactly when var does
-    sigma = math.sqrt(var) if var > 1.0 else 1.0
-    inv_norm = 1.0 / (area * sigma)
+    s, norms, stages = scan
+    inv_norm = norms[base]
     for stage_threshold, trees in stages:
         total = 0
         for nodes in trees:
@@ -388,7 +413,8 @@ def detect_multiscale(
     hits by >=50% mutual overlap; keep groups with >= min_neighbors hits.
 
     Builds the frame's integral tables with one `integral_image` call;
-    then each scale goes through `_scan_scale`, smallest first.
+    then each scale goes through `_scan_scale`, smallest first, at stride
+    round(step_fraction * scale) held within 1 and the frame's larger side.
     """
     if not 1.05 <= scale_factor < math.inf:
         raise HandposeError("scale_factor must be finite and >= 1.05")
@@ -400,12 +426,16 @@ def detect_multiscale(
     integral = integral_image(gray)
     raw = []
     scale = 1.0
+    # a stride of the frame's larger side already scans one position per
+    # scale; capping there keeps a step that overflowed to inf out of int()
+    max_stride = max(gray.width, gray.height)
     # the guard stops before rounding a window that overflowed to inf
     while w0 * scale < gray.width + 1 and h0 * scale < gray.height + 1:
         ww = int(round(w0 * scale))
         wh = int(round(h0 * scale))
         if ww > gray.width or wh > gray.height:
             break
-        raw += _scan_scale(model, integral, scale, ww, wh, max(1, int(round(step_fraction * scale))))
+        stride = int(round(min(max(step_fraction * scale, 1.0), max_stride)))
+        raw += _scan_scale(model, integral, scale, ww, wh, stride)
         scale *= scale_factor
     return _group_detections(raw, min_neighbors)

@@ -139,10 +139,10 @@ def test_subcommand_names_its_handler(command, capsys, tmp_path, monkeypatch):
         assert out.splitlines()[0] == f"effective seed {seed}"
 
 
-def _detect_args(model, *flags):
+def _detect_args(model, *flags, size=(34, 30)):
     def args(tmp_path):
         frame = tmp_path / "frame.pgm"
-        frame.write_bytes(save_pnm(Image(np.full((30, 34), 200, dtype=np.uint8))))
+        frame.write_bytes(save_pnm(Image(np.full(size[::-1], 200, dtype=np.uint8))))
         cascade = tmp_path / "cascade.xml"
         cascade.write_text(serialize_cascade(model))
         return ["detect", "--image", str(frame), "--cascade", str(cascade), *flags]
@@ -264,6 +264,20 @@ class TestBadInputs:
         # at 1.5 the second scale (36 px) already exceeds the 34x30 frame
         assert main(argv[:-1] + ["1.5"]) == 0
         assert capsys.readouterr().out == one_scale
+
+    @pytest.mark.parametrize("step, same_as", [("1e308", "48"), ("-1e308", "0")])
+    def test_huge_finite_step_fraction_scans_the_same_grid(self, capsys, tmp_path, step, same_as):
+        # step * scale first overflows to inf at scale 1.1**7 (1.95), where
+        # the 24 px window is 47 px: a 48x48 frame reaches that scale, the
+        # 34x30 frame above does not
+        def detect(fraction):
+            argv = _detect_args(brightness_cascade(), f"--step-fraction={fraction}", size=(48, 48))(tmp_path)
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        # a stride of the frame's side scans one position per scale, and a
+        # stride under 1 scans every position
+        assert detect(step) == detect(same_as) != "0 detections\n"
 
 
 class TestClassify:

@@ -19,7 +19,7 @@ from handpose.haar_cascade import (
     parse_cascade,
     serialize_cascade,
 )
-from handpose.imaging import Image, integral_image, luma
+from handpose.imaging import Image, IntegralTable, integral_image, luma
 
 from helpers import (
     detect_multiscale_oracle,
@@ -29,6 +29,7 @@ from helpers import (
     group_detections_oracle,
     inv_norm_oracle,
     raw_hits_oracle,
+    rect_sqsum,
     stage_total_oracle,
 )
 
@@ -626,6 +627,81 @@ class TestScanExactness:
         assert dtypes == [(dtype, np.int64)]
         assert [(d.bbox, d.neighbors) for d in got] == [((at, at, win, win), 313)]
         assert got == detect_multiscale_oracle(model, Image(px))
+
+
+def _two_level_frame(width, height, low, high):
+    """A checkerboard of two levels: every window of even area holds as
+    many of each, so levels 2 apart give a variance of exactly 1."""
+    y, x = np.indices((height, width))
+    return Image(np.where((x + y) % 2, high, low).astype(np.uint8))
+
+
+WINDOW_NORM_FRAMES = {
+    "constant-0": Image(np.zeros((21, 26), dtype=np.uint8)),
+    "constant-99": Image(np.full((21, 26), 99, dtype=np.uint8)),
+    "all-255": Image(np.full((21, 26), 255, dtype=np.uint8)),
+    "two-level-var-1": _two_level_frame(26, 21, 100, 102),
+    "two-level-var-9": _two_level_frame(26, 21, 0, 6),
+    "near-flat": _random_frame(rand.generator(63, 0), "near-flat", 26, 21),
+    "textured": _random_frame(rand.generator(63, 1), "textured", 26, 21),
+}
+
+
+class TestWindowNorms:
+    """`_window_norms` is == the scalar normalization of every window."""
+
+    @pytest.mark.parametrize("name", list(WINDOW_NORM_FRAMES))
+    @pytest.mark.parametrize("window", [(4, 4), (5, 3)])
+    def test_every_window_at_every_scale_matches_oracle(self, name, window):
+        gray = WINDOW_NORM_FRAMES[name]
+        model = CascadeModel(window, [])
+        table = integral_image(gray)
+        for scale in _scales(model, gray, 1.1):
+            ww = int(round(window[0] * scale))
+            wh = int(round(window[1] * scale))
+            norms = haar_cascade._window_norms(table, ww, wh)
+            assert norms.shape == table.sum.shape and norms.dtype == np.float64
+            for y in range(gray.height - wh + 1):
+                for x in range(gray.width - ww + 1):
+                    assert norms[y, x] == inv_norm_oracle(model, table, (x, y, scale)), (x, y, scale)
+
+    def test_variance_of_exactly_one_keeps_sigma_one(self):
+        # the sigma clamp's edge: var == 1 exactly at every 4x4 window
+        table = integral_image(WINDOW_NORM_FRAMES["two-level-var-1"])
+        assert rect_sqsum(table, 3, 2, 4, 4) / 16 - (table.rect_sum(3, 2, 4, 4) / 16) ** 2 == 1.0
+        assert (haar_cascade._window_norms(table, 4, 4)[:18, :23] == 1 / 16).all()
+
+    def test_cut_tables_of_one_position(self):
+        # helpers.evaluate_at scans tables cut to one window, which are
+        # strided views of the frame's tables
+        gray = WINDOW_NORM_FRAMES["textured"]
+        model = CascadeModel((5, 3), [])
+        table = integral_image(gray)
+        for scale in _scales(model, gray, 1.25):
+            ww = int(round(5 * scale))
+            wh = int(round(3 * scale))
+            for y in range(0, gray.height - wh + 1, 2):
+                for x in range(0, gray.width - ww + 1, 3):
+                    cut = (slice(y, y + wh + 1), slice(x, x + ww + 1))
+                    norms = haar_cascade._window_norms(IntegralTable(table.sum[cut], table.sqsum[cut]), ww, wh)
+                    assert norms[0, 0] == inv_norm_oracle(model, table, (x, y, scale))
+
+    def test_detect_peak_memory_is_in_place(self):
+        # one detect_multiscale at 320x240 holds the frame's sum and squared
+        # tables plus one scale's norms and one scratch buffer: 3.65x one
+        # int64 table of the frame (2.60x without the norms, 7.5x for norms
+        # built without out= buffers). Every scale's norms cover every
+        # window corner, whatever the stride, so a coarse stride keeps the
+        # traced run short.
+        gray = Image(np.random.default_rng(0).integers(0, 90, size=(240, 320), dtype=np.uint8))
+        model = scenes.brightness_cascade()
+        tracemalloc.start()
+        try:
+            detect_multiscale(model, gray, step_fraction=4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 241 * 321 * 8
 
 
 @pytest.fixture(scope="module")
