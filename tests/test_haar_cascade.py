@@ -1,6 +1,8 @@
+import math
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -573,21 +575,87 @@ def _cases(seed, count):
         yield rng, model, gray, scale_factor
 
 
+def _huge_weight_cases(seed, count):
+    """Random cascades whose rect weights and half their leaves are
+    +-1e308, on sparse 0/1 frames: a feature value is finite where each
+    rect holds at most one lit pixel, else inf or nan, and stage totals
+    overflow to inf."""
+    rng = rand.generator(seed, 0)
+    for _ in range(count):
+        win_w, win_h = int(rng.integers(5, 11)), int(rng.integers(5, 11))
+        model = _random_cascade(rng, win_w, win_h)
+        for stage in model.stages:
+            for tree in stage.trees:
+                for node in tree.nodes:
+                    for r in node.rects:
+                        r.weight = math.copysign(1e308, r.weight)
+                    if node.left_val is not None and rng.integers(0, 2):
+                        node.left_val = math.copysign(1e308, node.left_val)
+                        node.right_val = math.copysign(1e308, node.right_val)
+        px = rng.random((int(rng.integers(win_h, 32)), int(rng.integers(win_w, 40)))) < 0.1
+        yield model, Image(px.astype(np.uint8)), float(rng.uniform(1.05, 1.25))
+
+
+def _scan_against_oracle(cases, stride):
+    """Compare _scan_scale with the oracle's passing positions of each
+    scale's stride grid, in row-major order; returns (passed, windows).
+    The library runs with every warning raised as an error."""
+    passed = total = 0
+    for model, gray, scale_factor in cases:
+        table = integral_image(gray)
+        for scale in _scales(model, gray, scale_factor):
+            ww = int(round(model.window[0] * scale))
+            wh = int(round(model.window[1] * scale))
+            grid = [
+                (x, y)
+                for y in range(0, gray.height - wh + 1, stride)
+                for x in range(0, gray.width - ww + 1, stride)
+            ]
+            want = [(x, y, ww, wh) for x, y in grid if evaluate_window_oracle(model, table, (x, y, scale))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = haar_cascade._scan_scale(model, table, scale, ww, wh, stride)
+            assert got == want, (scale, stride)
+            passed += len(want)
+            total += len(grid)
+    return passed, total
+
+
 class TestScanExactness:
     def test_every_window_at_every_scale_matches_oracle(self):
-        passed = total = 0
-        for _, model, gray, scale_factor in _cases(60, 24):
-            table = integral_image(gray)
-            for scale in _scales(model, gray, scale_factor):
-                ww = int(round(model.window[0] * scale))
-                wh = int(round(model.window[1] * scale))
-                grid = [(x, y) for y in range(gray.height - wh + 1) for x in range(gray.width - ww + 1)]
-                want = [(x, y, ww, wh) for x, y in grid if evaluate_window_oracle(model, table, (x, y, scale))]
-                assert haar_cascade._scan_scale(model, table, scale, ww, wh, 1) == want, scale
-                passed += len(want)
-                total += len(grid)
+        passed, total = _scan_against_oracle((case[1:] for case in _cases(60, 24)), 1)
         # both outcomes occur, so the comparison is not vacuous
         assert 0.05 * total < passed < 0.95 * total
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_strided_grid_matches_oracle(self, stride):
+        # _compile_scale builds the bases of its own stride grid
+        passed, total = _scan_against_oracle((case[1:] for case in _cases(60, 24)), stride)
+        assert 0.05 * total < passed < 0.95 * total
+
+    def test_huge_weights_match_oracle_without_warnings(self):
+        # +-1e308 weights overflow to inf and add inf to -inf; the array
+        # pass agrees with the scalar oracle there and, like it, warns
+        # about neither
+        passed, total = _scan_against_oracle(_huge_weight_cases(64, 40), 1)
+        assert 0.05 * total < passed < 0.95 * total
+
+    @pytest.mark.parametrize("size", [(640, 480), (1280, 960)])
+    def test_detect_peak_memory_blocks_the_grid(self, size):
+        # the frame's tables, one scale's norms and their scratch buffer
+        # peak at 3.49x one int64 table; the grid's bases are built per
+        # block of SCAN_BLOCK windows, not for the whole grid (about 1.2
+        # million windows at scale 1 of 1280x960), so they add nothing
+        # near a table
+        width, height = size
+        gray = Image(np.random.default_rng(0).integers(0, 256, size=(height, width), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            detect_multiscale(scenes.brightness_cascade(), gray)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * (height + 1) * (width + 1) * 8
 
     def test_detections_match_oracle_detector_on_random_frames(self):
         hits = 0
@@ -733,6 +801,16 @@ class TestGroupingExactness:
         assert [len(raw) for _, raw, _ in frames][1:] > [1000, 1000]
         for gray, _, want in frames:
             assert detect_multiscale(model, gray) == want
+
+    def test_scan_blocks_that_split_rows(self, bench_frames, monkeypatch):
+        # 7-window blocks end mid-row, unlike any block of a _cases frame
+        monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", 7)
+        group, seen = haar_cascade._group_detections, []
+        monkeypatch.setattr(haar_cascade, "_group_detections", lambda raw, n: seen.append(raw) or group(raw, n))
+        model, frames = bench_frames
+        for gray, raw, want in frames:
+            assert detect_multiscale(model, gray) == want
+            assert seen.pop() == raw
 
     def test_bench_raw_lists_match_oracle(self, bench_frames):
         for _, raw, want in bench_frames[1][1:]:
