@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HandposeError, ImageTooSmall, RectOutOfWindow, SchemaViolation
-from .imaging import Image, hook_min_roots, integral_image
+from .imaging import Image, gathered_sums, hook_min_roots, integral_image
 
 
 @dataclass
@@ -266,35 +266,21 @@ SCAN_BLOCK = 4096
 GROUP_BLOCK = 16
 
 
-def _window_norms(integral, ww: int, wh: int) -> np.ndarray:
-    """1 / (area * sigma) of every ww x wh window, a float64 array shaped
-    like the sum table with window (x, y) at [y, x], sigma the windowed
-    stddev clamped below at 1; entries of windows that leave the frame
-    are unspecified.
-
-    The ops run in the scalar order: mean = S / area, var = Q / area -
-    mean * mean, sigma = sqrt(max(var, 1)), 1.0 / (area * sigma). The box
-    sums S and Q are exact integers below 2**53, so adding their corners
-    in float64 is exact, and every op is correctly rounded, as Python's
-    int / int and math.sqrt are: each value is bit for bit the scalar
-    one. Builds in place: the output plus one scratch buffer."""
-    s, q = integral.sum, integral.sqsum
-    ny, nx = s.shape[0] - wh, s.shape[1] - ww
+def _inv_norms(integral, base, ww: int, wh: int) -> np.ndarray:
+    """1 / (area * sigma) of the ww x wh windows at flat indices `base`,
+    sigma the windowed stddev clamped below at 1, in the scalar order:
+    mean = S / area, var = Q / area - mean * mean, sigma =
+    sqrt(max(var, 1)), 1.0 / (area * sigma). The box sums S and Q are
+    exact integers below 2**53, so they convert to float64 exactly, and
+    every op is correctly rounded, as Python's int / int and math.sqrt
+    are: each value is bit for bit the scalar one."""
+    corners = integral.corners(0, 0, ww, wh)
     area = ww * wh
-    out = np.empty(s.shape)
-    mean, var = out[:ny, :nx], np.empty((ny, nx))
-    for box, t in ((mean, s), (var, q)):
-        np.subtract(t[wh:, ww:], t[:ny, ww:], out=box, dtype=np.float64)
-        box -= t[wh:, :nx]
-        box += t[:ny, :nx]
-        box /= area
-    var -= np.square(mean, out=mean)
-    # sqrt is monotone and sqrt(1) == 1, so this is sqrt(var) where
-    # var > 1 and 1 elsewhere
-    np.sqrt(np.maximum(var, 1.0, out=var), out=var)
-    var *= area
-    np.divide(1.0, var, out=mean)
-    return out
+    mean = gathered_sums(integral.sum.ravel(), base, corners) / area
+    var = gathered_sums(integral.sqsum.ravel(), base, corners) / area
+    var -= mean * mean
+    # sqrt is monotone and sqrt(1) == 1: sqrt(var) where var > 1, else 1
+    return 1.0 / (area * np.sqrt(np.maximum(var, 1.0)))
 
 
 def _tree_values(nodes, flat, base, inv_norm):
@@ -303,7 +289,7 @@ def _tree_values(nodes, flat, base, inv_norm):
     Each node's windows are routed at once, nodes in index order: a child's
     index is above its parent's, so every window reaches each of its nodes
     after the one that sends it there. A feature value is accumulated from
-    0.0 in rect order over int64 rect sums, then multiplied by the window's
+    0.0 in rect order over `gathered_sums`, then multiplied by the window's
     `inv_norm`, as in the scalar oracle (`tests/helpers.py`). The sums are
     exact integers below 2**53, so they convert to float exactly, and each
     op is correctly rounded: every value is bit for bit the scalar one."""
@@ -313,11 +299,8 @@ def _tree_values(nodes, flat, base, inv_norm):
         here = np.flatnonzero(at == i)
         b = base[here]
         f = np.zeros(len(here))
-        for weight, (tl, tr, bl, br) in rects:
-            rect = np.subtract(flat.take(b + br), flat.take(b + tr), dtype=np.int64)
-            rect -= flat.take(b + bl)
-            rect += flat.take(b + tl)
-            f += weight * rect
+        for weight, corners in rects:
+            f += weight * gathered_sums(flat, b, corners)
         f *= inv_norm[here]
         left = f < node.threshold
         for side, val, child in ((left, node.left_val, node.left_child), (~left, node.right_val, node.right_child)):
@@ -335,14 +318,14 @@ def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int
     are False.
 
     The grid is taken in row-major blocks of SCAN_BLOCK windows, each
-    block's bases built on their own, so no array spans the whole grid. A
-    block runs the stages as array passes in the scalar order: each tree's
-    values (`_tree_values`) are summed from zero in tree order, and a
-    window leaves at the first stage whose total is below the threshold. A
-    nan total is not below it, so it passes, as in the scalar oracle; huge
-    weights overflow to inf and nan there too, and print no warning."""
+    block's bases and norms (`_inv_norms`) built on their own, so only the
+    verdict spans the table. A block runs the stages as array passes in
+    the scalar order: each tree's values (`_tree_values`) are summed from
+    zero in tree order, and a window leaves at the first stage whose total
+    is below the threshold. A nan total is not below it, so it passes, as
+    in the scalar oracle; huge weights overflow to inf and nan there too,
+    and print no warning."""
     flat = integral.sum.ravel()
-    norms = _window_norms(integral, ww, wh).ravel()
     rows, row = integral.sum.shape
     nx = len(range(0, row - ww, stride))
     n = nx * len(range(0, rows - wh, stride))
@@ -356,7 +339,7 @@ def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int
         for start in range(0, n, SCAN_BLOCK):
             k = np.arange(start, min(start + SCAN_BLOCK, n))
             base = (k // nx * row + k % nx) * stride
-            inv_norm = norms.take(base)
+            inv_norm = _inv_norms(integral, base, ww, wh)
             for threshold, trees in stages:
                 total = np.zeros(len(base))
                 for nodes in trees:
@@ -373,8 +356,9 @@ def evaluate_window(scan: memoryview, base: int) -> bool:
 
     `_scan_scale` calls this once per grid position: it is the seam the
     benchmark's window counter (`perfbench/check_geometry.py`) wraps. The
-    loop of calls is about 40% of a 160x120 scan (4.7 of 10.8 ms), and can
-    go once the counter reads `_scan_scale`'s grids instead."""
+    loop of calls is about 45% of a 160x120 scan (4.2 of 9.0 ms, best of
+    30, wall, 2-CPU x86-64), and can go once the counter reads
+    `_scan_scale`'s grids instead."""
     return scan[base]
 
 

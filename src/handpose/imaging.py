@@ -114,15 +114,27 @@ class IntegralTable:
         return (_block_rect_sums if dense else _gathered_rect_sums)(self, locs)
 
 
+def gathered_sums(flat: np.ndarray, base, corners) -> np.ndarray:
+    """Exact sums br - tr - bl + tl of the raveled table `flat` in its dtype,
+    each corner taken at its offset from the flat indices `base`: corners
+    (tl, tr, bl, br) of `IntegralTable.corners` are ints for one box, or
+    (c, 1) arrays for c boxes at each base. Built in place."""
+    tl, tr, bl, br = corners
+    out = flat.take(base + br)
+    out -= flat.take(base + tr)
+    out -= flat.take(base + bl)
+    out += flat.take(base + tl)
+    return out
+
+
 def _gathered_rect_sums(table: IntegralTable, locs: np.ndarray):
-    """Rect-sum reader for scattered locations: each rect corner is taken
-    from the raveled table at its offset from the location's flat index."""
+    """Rect-sum reader for scattered locations: `gathered_sums` of each
+    rect at every location's flat index."""
     flat = table.sum.ravel()
     base, *_ = table.corners(locs[:, 0], locs[:, 1], 0, 0)  # each location's flat index
 
     def rect_sums(x, y, w, h):
-        tl, tr, bl, br = (c[:, None] + base for c in table.corners(x, y, w, h))
-        return flat.take(br) - flat.take(tr) - flat.take(bl) + flat.take(tl)
+        return gathered_sums(flat, base, [c[:, None] for c in table.corners(x, y, w, h)])
 
     return rect_sums
 

@@ -642,11 +642,11 @@ class TestScanExactness:
 
     @pytest.mark.parametrize("size", [(640, 480), (1280, 960)])
     def test_detect_peak_memory_blocks_the_grid(self, size):
-        # the frame's tables, one scale's norms and their scratch buffer
-        # peak at 3.49x one int64 table; the grid's bases are built per
-        # block of SCAN_BLOCK windows, not for the whole grid (about 1.2
-        # million windows at scale 1 of 1280x960), so they add nothing
-        # near a table
+        # the frame's tables and the squared pixels they are built from
+        # peak at 2.52x one int64 table; the grid's bases and norms are
+        # built per block of SCAN_BLOCK windows, not for the whole grid
+        # (about 1.2 million windows at scale 1 of 1280x960), so they add
+        # nothing near a table, and no table-sized float64 array fits
         width, height = size
         gray = Image(np.random.default_rng(0).integers(0, 256, size=(height, width), dtype=np.uint8))
         tracemalloc.start()
@@ -655,7 +655,7 @@ class TestScanExactness:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.75 * (height + 1) * (width + 1) * 8
+        assert peak <= 2.75 * (height + 1) * (width + 1) * 8
 
     def test_detections_match_oracle_detector_on_random_frames(self):
         hits = 0
@@ -715,8 +715,14 @@ WINDOW_NORM_FRAMES = {
 }
 
 
+def _grid_bases(table, nx, ny):
+    """Flat indices y * row + x of the nx x ny positions from (0, 0)."""
+    y, x = np.indices((ny, nx))
+    return (y * table.sum.shape[1] + x).ravel()
+
+
 class TestWindowNorms:
-    """`_window_norms` is == the scalar normalization of every window."""
+    """`_inv_norms` is == the scalar normalization of every window."""
 
     @pytest.mark.parametrize("name", list(WINDOW_NORM_FRAMES))
     @pytest.mark.parametrize("window", [(4, 4), (5, 3)])
@@ -727,17 +733,18 @@ class TestWindowNorms:
         for scale in _scales(model, gray, 1.1):
             ww = int(round(window[0] * scale))
             wh = int(round(window[1] * scale))
-            norms = haar_cascade._window_norms(table, ww, wh)
-            assert norms.shape == table.sum.shape and norms.dtype == np.float64
-            for y in range(gray.height - wh + 1):
-                for x in range(gray.width - ww + 1):
-                    assert norms[y, x] == inv_norm_oracle(model, table, (x, y, scale)), (x, y, scale)
+            nx, ny = gray.width - ww + 1, gray.height - wh + 1
+            norms = haar_cascade._inv_norms(table, _grid_bases(table, nx, ny), ww, wh)
+            assert norms.shape == (ny * nx,) and norms.dtype == np.float64
+            for y in range(ny):
+                for x in range(nx):
+                    assert norms[y * nx + x] == inv_norm_oracle(model, table, (x, y, scale)), (x, y, scale)
 
     def test_variance_of_exactly_one_keeps_sigma_one(self):
         # the sigma clamp's edge: var == 1 exactly at every 4x4 window
         table = integral_image(WINDOW_NORM_FRAMES["two-level-var-1"])
         assert rect_sqsum(table, 3, 2, 4, 4) / 16 - (table.rect_sum(3, 2, 4, 4) / 16) ** 2 == 1.0
-        assert (haar_cascade._window_norms(table, 4, 4)[:18, :23] == 1 / 16).all()
+        assert (haar_cascade._inv_norms(table, _grid_bases(table, 23, 18), 4, 4) == 1 / 16).all()
 
     def test_cut_tables_of_one_position(self):
         # helpers.evaluate_at scans tables cut to one window, which are
@@ -751,16 +758,17 @@ class TestWindowNorms:
             for y in range(0, gray.height - wh + 1, 2):
                 for x in range(0, gray.width - ww + 1, 3):
                     cut = (slice(y, y + wh + 1), slice(x, x + ww + 1))
-                    norms = haar_cascade._window_norms(IntegralTable(table.sum[cut], table.sqsum[cut]), ww, wh)
-                    assert norms[0, 0] == inv_norm_oracle(model, table, (x, y, scale))
+                    one = IntegralTable(table.sum[cut], table.sqsum[cut])
+                    norms = haar_cascade._inv_norms(one, np.zeros(1, np.intp), ww, wh)
+                    assert norms.tolist() == [inv_norm_oracle(model, table, (x, y, scale))]
 
     def test_detect_peak_memory_is_in_place(self):
-        # one detect_multiscale at 320x240 holds the frame's sum and squared
-        # tables plus one scale's norms and one scratch buffer: 3.65x one
-        # int64 table of the frame (2.60x without the norms, 7.5x for norms
-        # built without out= buffers). Every scale's norms cover every
-        # window corner, whatever the stride, so a coarse stride keeps the
-        # traced run short.
+        # one detect_multiscale at 320x240 peaks at 2.60x one int64 table
+        # of the frame, while integral_image holds the int32 sum table, the
+        # squared table and the squared pixels; each scan block normalizes
+        # only its own windows, so a table-sized float64 array of norms
+        # (3.65x with one) does not fit under the bound. A coarse stride
+        # keeps the traced run short.
         gray = Image(np.random.default_rng(0).integers(0, 90, size=(240, 320), dtype=np.uint8))
         model = scenes.brightness_cascade()
         tracemalloc.start()
@@ -769,7 +777,7 @@ class TestWindowNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 241 * 321 * 8
+        assert peak <= 2.75 * 241 * 321 * 8
 
 
 @pytest.fixture(scope="module")

@@ -250,8 +250,8 @@ class TestSumTableDtype:
 
     def test_rect_sums_at_the_corners_are_exact(self):
         w, h = self.W, self.H
-        table = integral_image(Image(np.full((h, w), 255, dtype=np.uint8)), squared=False)
-        assert table.sum.dtype == np.int32
+        table = integral_image(Image(np.full((h, w), 255, dtype=np.uint8)))
+        assert table.sum.dtype == np.int32 and table.sqsum.dtype == np.int64
         # the whole frame, and rects that touch each corner of the table; a
         # one-pixel rect at the far corner subtracts two entries near M from M
         rects = [(0, 0, w, h), (1, 1, w - 1, h - 1), (0, 1, w, h - 1), (1, 0, w - 1, h)]
@@ -271,3 +271,14 @@ class TestSumTableDtype:
         for reader in (IntegralTable.rect_sums, _block_rect_sums, _gathered_rect_sums):
             sums = reader(table, locs)(one, one, one + w - 1, one + h - 1)
             assert sums.tolist() == [[255 * (w - 1) * (h - 1)] * 4], reader.__name__
+        # the one gather itself on both tables, in the table's dtype: each
+        # rect from int corners, and all of them from (c, 1) corners
+        base = np.zeros(1, dtype=np.intp)
+        corners = [c[:, None] for c in table.corners(x, y, rw, rh)]
+        for t, level in ((table.sum, 255), (table.sqsum, 255 * 255)):
+            flat, want = t.ravel(), (level * rw * rh).tolist()
+            for r, v in zip(rects, want):
+                box = imaging.gathered_sums(flat, base, table.corners(*r))
+                assert box.dtype == t.dtype and box.tolist() == [v], r
+            sums = imaging.gathered_sums(flat, base, corners)
+            assert sums.dtype == t.dtype and sums.shape == (len(rects), 1) and sums[:, 0].tolist() == want
