@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HandposeError, ImageTooSmall, RectOutOfWindow, SchemaViolation
-from .imaging import Image, gathered_sums, hook_min_roots, integral_image
+from .imaging import Image, gathered_sums, hook_min_roots, integral_image, lattice_sums
 
 
 @dataclass
@@ -257,57 +257,67 @@ def _scaled_rect(r: WeightedRect, scale: float):
     return x, y, max(1, round((r.x + r.w) * scale) - x), max(1, round((r.y + r.h) * scale) - y)
 
 
-# windows of one scale's stride grid that _compile_scale evaluates at once;
-# each array of a block's pass holds at most this many entries
-SCAN_BLOCK = 4096
+# windows of one scale's stride grid that _compile_scale evaluates at once,
+# in bands of whole grid rows; each array of a band's pass holds at most
+# this many entries (or one grid row, if that is longer)
+SCAN_BLOCK = 16384
 
 # rows of the pairwise overlap test that _group_detections holds at once;
 # its int and bool matrices are GROUP_BLOCK x n
 GROUP_BLOCK = 16
 
 
-def _inv_norms(integral, base, ww: int, wh: int) -> np.ndarray:
-    """1 / (area * sigma) of the ww x wh windows at flat indices `base`,
-    sigma the windowed stddev clamped below at 1, in the scalar order:
-    mean = S / area, var = Q / area - mean * mean, sigma =
-    sqrt(max(var, 1)), 1.0 / (area * sigma). The box sums S and Q are
-    exact integers below 2**53, so they convert to float64 exactly, and
-    every op is correctly rounded, as Python's int / int and math.sqrt
-    are: each value is bit for bit the scalar one."""
-    corners = integral.corners(0, 0, ww, wh)
+def _inv_norms(integral, oy: int, ny: int, nx: int, stride: int, ww: int, wh: int) -> np.ndarray:
+    """1 / (area * sigma) of the ww x wh windows at the ny x nx lattice
+    points of `lattice_sums`, row-major, sigma the windowed stddev clamped
+    below at 1, in the scalar order: mean = S / area, var = Q / area -
+    mean * mean, sigma = sqrt(max(var, 1)), 1.0 / (area * sigma). The box
+    sums S and Q are exact integers below 2**53, so they convert to float64
+    exactly, and every op is correctly rounded, as Python's int / int and
+    math.sqrt are: each value is bit for bit the scalar one."""
     area = ww * wh
-    mean = gathered_sums(integral.sum.ravel(), base, corners) / area
-    var = gathered_sums(integral.sqsum.ravel(), base, corners) / area
+    mean = lattice_sums(integral.sum, oy, ny, nx, stride, 0, 0, ww, wh).ravel() / area
+    var = lattice_sums(integral.sqsum, oy, ny, nx, stride, 0, 0, ww, wh).ravel() / area
     var -= mean * mean
     # sqrt is monotone and sqrt(1) == 1: sqrt(var) where var > 1, else 1
     return 1.0 / (area * np.sqrt(np.maximum(var, 1.0)))
 
 
-def _tree_values(nodes, flat, base, inv_norm):
-    """The leaf value each window at flat index `base` reaches in one tree.
+def _feature(rects, sums):
+    """A node's feature before normalization: weight * sums(rect) added
+    to 0.0 in rect order, as in the scalar oracle (`tests/helpers.py`)."""
+    f = 0.0
+    for weight, rect in rects:
+        f += weight * sums(rect)  # the first add makes f an array
+    return f
+
+
+def _tree_values(nodes, f, read, inv_norm):
+    """The leaf value each window reaches in one tree, given `f`, the
+    root's `_feature` at every window (scaled in place); `read(here)` is
+    the rect-sum reader of the windows at positions `here`, which the
+    deeper nodes use.
 
     Each node's windows are routed at once, nodes in index order: a child's
     index is above its parent's, so every window reaches each of its nodes
-    after the one that sends it there. A feature value is accumulated from
-    0.0 in rect order over `gathered_sums`, then multiplied by the window's
-    `inv_norm`, as in the scalar oracle (`tests/helpers.py`). The sums are
-    exact integers below 2**53, so they convert to float exactly, and each
-    op is correctly rounded: every value is bit for bit the scalar one."""
-    value = np.empty(len(base))
-    at = np.zeros(len(base), np.intp)  # the node each window has reached
+    after the one that sends it there. A feature is multiplied by the
+    window's `inv_norm`, as in the scalar oracle. The sums are exact
+    integers below 2**53, so they convert to float exactly, and each op is
+    correctly rounded: every value is bit for bit the scalar one."""
+    value = np.empty(len(inv_norm))
+    at = np.zeros(len(inv_norm), np.intp)  # the node each window has reached
     for i, (rects, node) in enumerate(nodes):
-        here = np.flatnonzero(at == i)
-        b = base[here]
-        f = np.zeros(len(here))
-        for weight, corners in rects:
-            f += weight * gathered_sums(flat, b, corners)
-        f *= inv_norm[here]
+        if i:
+            here = np.flatnonzero(at == i)
+            f = _feature(rects, read(here))
+        f *= inv_norm[here] if i else inv_norm
         left = f < node.threshold
         for side, val, child in ((left, node.left_val, node.left_child), (~left, node.right_val, node.right_child)):
+            where = here[side] if i else side
             if val is None:
-                at[here[side]] = child
+                at[where] = child
             else:
-                value[here[side]] = val
+                value[where] = val
     return value
 
 
@@ -317,36 +327,58 @@ def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int
     y * row + x, True where it passes every stage. Entries off the grid
     are False.
 
-    The grid is taken in row-major blocks of SCAN_BLOCK windows, each
-    block's bases and norms (`_inv_norms`) built on their own, so only the
-    verdict spans the table. A block runs the stages as array passes in
-    the scalar order: each tree's values (`_tree_values`) are summed from
-    zero in tree order, and a window leaves at the first stage whose total
-    is below the threshold. A nan total is not below it, so it passes, as
-    in the scalar oracle; huge weights overflow to inf and nan there too,
-    and print no warning."""
+    The grid is taken in bands of whole grid rows, SCAN_BLOCK windows or
+    one row each, so only the verdict spans the table. Every window of a
+    band sees the norms (`_inv_norms`) and the roots of the first stage's
+    trees, so those read the band's lattice of windows through strided
+    views (`lattice_sums`). Deeper nodes and later stages see sparse live
+    sets: they read through `gathered_sums` at the flat bases of just
+    those windows. A band runs the stages as array passes in the scalar
+    order: each tree's values (`_tree_values`) are summed from zero in
+    tree order, and a window leaves at the first stage whose total is
+    below the threshold. A nan total is not below it, so it passes, as in
+    the scalar oracle; huge weights overflow to inf and nan there too, and
+    print no warning."""
     flat = integral.sum.ravel()
     rows, row = integral.sum.shape
     nx = len(range(0, row - ww, stride))
-    n = nx * len(range(0, rows - wh, stride))
+    ny = len(range(0, rows - wh, stride))
 
     def compile_node(node):
-        return [(r.weight, integral.corners(*_scaled_rect(r, scale))) for r in node.rects], node
+        return [(r.weight, _scaled_rect(r, scale)) for r in node.rects], node
 
     stages = [(s.threshold, [[compile_node(node) for node in t.nodes] for t in s.trees]) for s in model.stages]
+
+    def gather(base):
+        return lambda rect: gathered_sums(flat, base, integral.corners(*rect))
+
     verdict = np.zeros(flat.size, dtype=bool)
+    band = max(1, SCAN_BLOCK // nx)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, SCAN_BLOCK):
-            k = np.arange(start, min(start + SCAN_BLOCK, n))
-            base = (k // nx * row + k % nx) * stride
-            inv_norm = _inv_norms(integral, base, ww, wh)
+        for top in range(0, ny, band):
+            oy, nb = top * stride, min(band, ny - top)
+
+            def lattice(rect, oy=oy, nb=nb):
+                return lattice_sums(integral.sum, oy, nb, nx, stride, *rect).ravel()
+
+            def bases(k, first=top * row):
+                # the flat bases of the band's windows k, counted row-major
+                return (k // nx * row + k % nx + first) * stride
+
+            inv_norm = _inv_norms(integral, oy, nb, nx, stride, ww, wh)
+            # the first stage reads its roots from the lattice; then `at`
+            # maps positions in the live set to flat bases
+            root, at = lattice, bases
             for threshold, trees in stages:
-                total = np.zeros(len(base))
+                total = np.zeros(len(inv_norm))
                 for nodes in trees:
-                    total += _tree_values(nodes, flat, base, inv_norm)
-                live = ~(total < threshold)
-                base, inv_norm = base[live], inv_norm[live]
-            verdict[base] = True
+                    f = _feature(nodes[0][0], root)
+                    total += _tree_values(nodes, f, lambda here, at=at: gather(at(here)), inv_norm)
+                live = np.flatnonzero(~(total < threshold))
+                base, inv_norm = at(live), inv_norm[live]
+                root, at = gather(base), base.__getitem__
+            # the windows left after every stage (all of the band if none)
+            verdict[at(np.arange(len(inv_norm)))] = True
     return memoryview(verdict)
 
 
@@ -356,9 +388,9 @@ def evaluate_window(scan: memoryview, base: int) -> bool:
 
     `_scan_scale` calls this once per grid position: it is the seam the
     benchmark's window counter (`perfbench/check_geometry.py`) wraps. The
-    loop of calls is about 45% of a 160x120 scan (4.2 of 9.0 ms, best of
-    30, wall, 2-CPU x86-64), and can go once the counter reads
-    `_scan_scale`'s grids instead."""
+    loop of calls is about two thirds of a 160x120 scan (5.3 of 8.0 ms,
+    best of 30, wall, 2-CPU x86-64; every scale's `_compile_scale` 2.4 ms),
+    and can go once the counter reads `_scan_scale`'s grids instead."""
     return scan[base]
 
 

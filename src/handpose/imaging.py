@@ -127,6 +127,22 @@ def gathered_sums(flat: np.ndarray, base, corners) -> np.ndarray:
     return out
 
 
+def lattice_sums(table: np.ndarray, oy: int, ny: int, nx: int, stride: int, x, y, w, h) -> np.ndarray:
+    """Exact sums of the rect (x, y, w, h) at every point of the ny x nx
+    lattice whose first row lies at table row `oy` and whose first column
+    at column 0, `stride` apart both ways, as an (ny, nx) array in the
+    table's dtype. Each corner is one strided slice of the 2-D `table`, and
+    the sum is taken in `gathered_sums`' order, so each is the same integer."""
+
+    def corner(dx, dy):
+        return table[oy + dy :: stride, dx::stride][:ny, :nx]
+
+    out = corner(x + w, y + h) - corner(x + w, y)
+    out -= corner(x, y + h)
+    out += corner(x, y)
+    return out
+
+
 def _gathered_rect_sums(table: IntegralTable, locs: np.ndarray):
     """Rect-sum reader for scattered locations: `gathered_sums` of each
     rect at every location's flat index."""
@@ -311,9 +327,9 @@ def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
     (only the cascade's variance normalization reads it).
 
     The sum table is int32 when 2 * 255 * h * w < 2**31, else int64; the
-    squared table is int64. int32 is exact there: every entry lies in
-    [0, M] with M = 255 * h * w, so every partial result of a rect sum
-    a - b - c + d lies in [-2M, 2M]."""
+    squared table is int64, summed from uint16 squares (255**2 fits).
+    int32 is exact there: every entry lies in [0, M] with M = 255 * h * w,
+    so every partial result of a rect sum a - b - c + d lies in [-2M, 2M]."""
     if gray.channels != 1:
         raise HandposeError(f"need 1 channel, got {gray.channels}")
     px = gray.pixels[:, :, 0]
@@ -325,7 +341,10 @@ def integral_image(gray: Image, squared: bool = True) -> IntegralTable:
     q = None
     if squared:
         q = np.zeros((h + 1, w + 1), dtype=np.int64)
-        np.cumsum(np.square(px, dtype=np.int64), axis=0, out=q[1:, 1:])
+        # the squares are copied into the table and summed there in place:
+        # a cumsum that casts them would first build an int64 copy
+        q[1:, 1:] = np.square(px, dtype=np.uint16)
+        np.cumsum(q[1:, 1:], axis=0, out=q[1:, 1:])
         np.cumsum(q[1:, 1:], axis=1, out=q[1:, 1:])
     return IntegralTable(s, q)
 

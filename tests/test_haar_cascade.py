@@ -496,27 +496,32 @@ def _random_node(rng, win_w, win_h, **branches):
     return TreeNode(rects, threshold=float(rng.normal(0.0, 0.2)), **branches)
 
 
-def _random_cascade(rng, win_w, win_h):
+def _random_cascade(rng, win_w, win_h, deep_first=0):
     """1-3 stages of 1-3 trees, each a stump or a depth-2 tree, with
-    arbitrary float leaves and thresholds."""
+    arbitrary float leaves and thresholds; with `deep_first`, the first
+    stage holds that many depth-2 trees instead."""
 
     def leaves():
         # magnitudes apart by up to 1e4, so a sum's rounding depends on its order
         return {side: float(rng.normal() * 10 ** rng.uniform(-2, 2)) for side in ("left_val", "right_val")}
 
+    def tree(stump):
+        if stump:
+            return Tree([_random_node(rng, win_w, win_h, **leaves())])
+        return Tree(
+            [
+                _random_node(rng, win_w, win_h, left_child=1, right_child=2),
+                _random_node(rng, win_w, win_h, **leaves()),
+                _random_node(rng, win_w, win_h, **leaves()),
+            ]
+        )
+
     stages = []
-    for _ in range(int(rng.integers(1, 4))):
-        trees = []
-        for _ in range(int(rng.integers(1, 4))):
-            if rng.integers(0, 2):
-                nodes = [_random_node(rng, win_w, win_h, **leaves())]
-            else:
-                nodes = [
-                    _random_node(rng, win_w, win_h, left_child=1, right_child=2),
-                    _random_node(rng, win_w, win_h, **leaves()),
-                    _random_node(rng, win_w, win_h, **leaves()),
-                ]
-            trees.append(Tree(nodes))
+    for i in range(int(rng.integers(1, 4))):
+        if i == 0 and deep_first:
+            trees = [tree(False) for _ in range(deep_first)]
+        else:
+            trees = [tree(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 4)))]
         stages.append(Stage(float(rng.uniform(-0.6, 0.6)) * len(trees), trees))
     return CascadeModel((win_w, win_h), stages)
 
@@ -563,11 +568,11 @@ def _calibrate(rng, model, gray, scale_factor):
         stage.threshold = stage_total_oracle(stage, table, win, inv_norm)
 
 
-def _cases(seed, count):
+def _cases(seed, count, deep_first=0):
     rng = rand.generator(seed, 0)
     for i in range(count):
         win_w, win_h = int(rng.integers(5, 11)), int(rng.integers(5, 11))
-        model = _random_cascade(rng, win_w, win_h)
+        model = _random_cascade(rng, win_w, win_h, deep_first)
         kind = ("textured", "textured", "near-flat", "flat")[i % 4]
         gray = _random_frame(rng, kind, int(rng.integers(win_w, 40)), int(rng.integers(win_h, 32)))
         scale_factor = float(rng.uniform(1.05, 1.25))
@@ -633,6 +638,18 @@ class TestScanExactness:
         passed, total = _scan_against_oracle((case[1:] for case in _cases(60, 24)), stride)
         assert 0.05 * total < passed < 0.95 * total
 
+    @pytest.mark.parametrize("block", [None, 30])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_deep_first_stage_matches_oracle(self, monkeypatch, stride, block):
+        # every first-stage tree has depth 2: its root reads the band's
+        # lattice, its children gather at the bases of the windows routed
+        # to them; bands of 30 windows start mid-grid, so those bases are
+        # offset by the band's first row
+        if block:
+            monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", block)
+        passed, total = _scan_against_oracle((case[1:] for case in _cases(65, 16, deep_first=3)), stride)
+        assert 0.05 * total < passed < 0.95 * total
+
     def test_huge_weights_match_oracle_without_warnings(self):
         # +-1e308 weights overflow to inf and add inf to -inf; the array
         # pass agrees with the scalar oracle there and, like it, warns
@@ -642,11 +659,12 @@ class TestScanExactness:
 
     @pytest.mark.parametrize("size", [(640, 480), (1280, 960)])
     def test_detect_peak_memory_blocks_the_grid(self, size):
-        # the frame's tables and the squared pixels they are built from
-        # peak at 2.52x one int64 table; the grid's bases and norms are
-        # built per block of SCAN_BLOCK windows, not for the whole grid
-        # (about 1.2 million windows at scale 1 of 1280x960), so they add
-        # nothing near a table, and no table-sized float64 array fits
+        # the frame's tables and the uint16 squares they are built from
+        # peak at 1.76x / 1.75x one int64 table, the whole detect_multiscale
+        # at 1.91x / 1.75x; the grid's norms and first stage are built per
+        # band of SCAN_BLOCK windows, not for the whole grid (about 1.2
+        # million windows at scale 1 of 1280x960), so they add nothing near
+        # a table, and no table-sized float64 array fits
         width, height = size
         gray = Image(np.random.default_rng(0).integers(0, 256, size=(height, width), dtype=np.uint8))
         tracemalloc.start()
@@ -715,36 +733,37 @@ WINDOW_NORM_FRAMES = {
 }
 
 
-def _grid_bases(table, nx, ny):
-    """Flat indices y * row + x of the nx x ny positions from (0, 0)."""
-    y, x = np.indices((ny, nx))
-    return (y * table.sum.shape[1] + x).ravel()
-
-
 class TestWindowNorms:
     """`_inv_norms` is == the scalar normalization of every window."""
 
     @pytest.mark.parametrize("name", list(WINDOW_NORM_FRAMES))
     @pytest.mark.parametrize("window", [(4, 4), (5, 3)])
     def test_every_window_at_every_scale_matches_oracle(self, name, window):
+        # each scale's whole grid at strides 1-3, and at stride 1 a band of
+        # rows that starts mid-grid
         gray = WINDOW_NORM_FRAMES[name]
         model = CascadeModel(window, [])
         table = integral_image(gray)
         for scale in _scales(model, gray, 1.1):
             ww = int(round(window[0] * scale))
             wh = int(round(window[1] * scale))
-            nx, ny = gray.width - ww + 1, gray.height - wh + 1
-            norms = haar_cascade._inv_norms(table, _grid_bases(table, nx, ny), ww, wh)
-            assert norms.shape == (ny * nx,) and norms.dtype == np.float64
-            for y in range(ny):
-                for x in range(nx):
-                    assert norms[y * nx + x] == inv_norm_oracle(model, table, (x, y, scale)), (x, y, scale)
+            for stride in (1, 2, 3):
+                nx = len(range(0, gray.width - ww + 1, stride))
+                ny = len(range(0, gray.height - wh + 1, stride))
+                bands = [(0, ny)] + [(ny // 2, ny - ny // 2)] * (stride == 1)
+                for top, nb in bands:
+                    norms = haar_cascade._inv_norms(table, top * stride, nb, nx, stride, ww, wh)
+                    assert norms.shape == (nb * nx,) and norms.dtype == np.float64
+                    for i in range(nb):
+                        for j in range(nx):
+                            win = (j * stride, (top + i) * stride, scale)
+                            assert norms[i * nx + j] == inv_norm_oracle(model, table, win), (win, stride)
 
     def test_variance_of_exactly_one_keeps_sigma_one(self):
         # the sigma clamp's edge: var == 1 exactly at every 4x4 window
         table = integral_image(WINDOW_NORM_FRAMES["two-level-var-1"])
         assert rect_sqsum(table, 3, 2, 4, 4) / 16 - (table.rect_sum(3, 2, 4, 4) / 16) ** 2 == 1.0
-        assert (haar_cascade._inv_norms(table, _grid_bases(table, 23, 18), 4, 4) == 1 / 16).all()
+        assert (haar_cascade._inv_norms(table, 0, 18, 23, 1, 4, 4) == 1 / 16).all()
 
     def test_cut_tables_of_one_position(self):
         # helpers.evaluate_at scans tables cut to one window, which are
@@ -759,16 +778,16 @@ class TestWindowNorms:
                 for x in range(0, gray.width - ww + 1, 3):
                     cut = (slice(y, y + wh + 1), slice(x, x + ww + 1))
                     one = IntegralTable(table.sum[cut], table.sqsum[cut])
-                    norms = haar_cascade._inv_norms(one, np.zeros(1, np.intp), ww, wh)
+                    norms = haar_cascade._inv_norms(one, 0, 1, 1, 1, ww, wh)
                     assert norms.tolist() == [inv_norm_oracle(model, table, (x, y, scale))]
 
     def test_detect_peak_memory_is_in_place(self):
-        # one detect_multiscale at 320x240 peaks at 2.60x one int64 table
-        # of the frame, while integral_image holds the int32 sum table, the
-        # squared table and the squared pixels; each scan block normalizes
-        # only its own windows, so a table-sized float64 array of norms
-        # (3.65x with one) does not fit under the bound. A coarse stride
-        # keeps the traced run short.
+        # one detect_multiscale at 320x240 peaks at 1.93x one int64 table
+        # of the frame: integral_image's int32 sum table, squared table and
+        # uint16 squares (1.78x), then the scan's bool verdict and its
+        # band arrays; each band normalizes only its own windows, so a
+        # table-sized float64 array of norms does not fit under the bound.
+        # A coarse stride keeps the traced run short.
         gray = Image(np.random.default_rng(0).integers(0, 90, size=(240, 320), dtype=np.uint8))
         model = scenes.brightness_cascade()
         tracemalloc.start()
@@ -810,15 +829,20 @@ class TestGroupingExactness:
         for gray, _, want in frames:
             assert detect_multiscale(model, gray) == want
 
-    def test_scan_blocks_that_split_rows(self, bench_frames, monkeypatch):
-        # 7-window blocks end mid-row, unlike any block of a _cases frame
-        monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", 7)
+    def test_scan_bands_of_whole_rows(self, bench_frames, monkeypatch):
+        # 7 windows make a band of one grid row at every scale, 1,000 make
+        # bands of 7 rows at scale 1 and a short last band of 6; raw hits
+        # lie inside bands and on their edges
         group, seen = haar_cascade._group_detections, []
         monkeypatch.setattr(haar_cascade, "_group_detections", lambda raw, n: seen.append(raw) or group(raw, n))
         model, frames = bench_frames
-        for gray, raw, want in frames:
-            assert detect_multiscale(model, gray) == want
-            assert seen.pop() == raw
+        nx, ny = (n - model.window[0] + 1 for n in (frames[0][0].width, frames[0][0].height))
+        assert (nx, ny, 1000 // nx, ny % (1000 // nx)) == (137, 97, 7, 6)
+        for block in (7, 1000):
+            monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", block)
+            for gray, raw, want in frames:
+                assert detect_multiscale(model, gray) == want
+                assert seen.pop() == raw
 
     def test_bench_raw_lists_match_oracle(self, bench_frames):
         for _, raw, want in bench_frames[1][1:]:

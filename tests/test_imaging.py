@@ -282,3 +282,41 @@ class TestSumTableDtype:
                 assert box.dtype == t.dtype and box.tolist() == [v], r
             sums = imaging.gathered_sums(flat, base, corners)
             assert sums.dtype == t.dtype and sums.shape == (len(rects), 1) and sums[:, 0].tolist() == want
+        # the lattice reader on both tables: a 2 x 2 lattice of (w - 1) x
+        # (h - 1) windows, each rect ending at the far corner of its window
+        for t, level in ((table.sum, 255), (table.sqsum, 255 * 255)):
+            for r in [(0, 0, w - 1, h - 1), (w - 2, h - 2, 1, 1), (w - 4, 0, 3, h - 1)]:
+                sums = imaging.lattice_sums(t, 0, 2, 2, 1, *r)
+                assert sums.dtype == t.dtype and sums.tolist() == [[level * r[2] * r[3]] * 2] * 2, r
+
+
+class TestLatticeSums:
+    """`lattice_sums` is == `gathered_sums` at the flat index of every
+    lattice point, on both tables, for each band of a window grid as
+    `haar_cascade._compile_scale` cuts it."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_bands_match_gathered_sums(self, stride):
+        rng = rand.generator(7, 2)
+        px = rng.integers(0, 256, size=(29, 37)).astype(np.uint8)
+        table = integral_image(Image(px))
+        row = table.sum.shape[1]
+        ww, wh = 7, 5
+        # the grid's last window ends at the frame's far corner at each stride
+        nx, ny = len(range(0, 37 - ww + 1, stride)), len(range(0, 29 - wh + 1, stride))
+        assert ((nx - 1) * stride + ww, (ny - 1) * stride + wh) == (37, 29)
+        # the whole window, rects that touch its far edges, and inner ones
+        rects = [(0, 0, ww, wh), (ww - 1, wh - 1, 1, 1), (2, 0, ww - 2, wh), (0, 3, ww, wh - 3), (1, 1, 3, 2)]
+        # bands of one row, of 4 rows (mid-grid starts and a short last
+        # band) and the whole grid
+        assert ny % 4
+        bands = [(top, min(size, ny - top)) for size in (1, 4, ny) for top in range(0, ny, size)]
+        for top, nb in bands:
+            oy = top * stride
+            base = np.array([(oy + i * stride) * row + j * stride for i in range(nb) for j in range(nx)])
+            for t in (table.sum, table.sqsum):
+                for r in rects:
+                    got = imaging.lattice_sums(t, oy, nb, nx, stride, *r)
+                    want = imaging.gathered_sums(t.ravel(), base, table.corners(*r))
+                    assert got.dtype == t.dtype and got.shape == (nb, nx), (top, nb, r)
+                    assert got.ravel().tolist() == want.tolist(), (top, nb, r)
