@@ -7,6 +7,7 @@ diagnostic line on stderr), 2 usage error (argparse prints usage).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -26,8 +27,18 @@ def _add_binarize(p):
     p.add_argument("--threshold", type=int, default=128)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent form (-1e308, -1.5e-3), and -inf
+    and -nan, as an option's value, as argparse already reads -1 and -0.5;
+    subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="handpose", description=__doc__)
+    parser = _Parser(prog="handpose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit-skin", help="fit a skin model from r,g,b CSV rows")

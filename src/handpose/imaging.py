@@ -105,13 +105,29 @@ class IntegralTable:
         bl = tl + h * row
         return tl, tl + w, bl, bl + w
 
-    def rect_sums(self, locs: np.ndarray):
+    def rect_sums(self, locs: np.ndarray, size, reads: int):
         """Reader (x, y, w, h) -> (c, n) of the exact sums of c rects, int
-        arrays of offsets from each of the n locations `locs` (n, 2). Reads
-        blocks when the locations fill at least half the square they span
-        (a block read touches all of it, a gather each location twice)."""
-        dense = len(locs) and np.prod(np.ptp(locs, axis=0) + 1) <= 2 * len(locs)
-        return (_block_rect_sums if dense else _gathered_rect_sums)(self, locs)
+        arrays of offsets inside a size = (w, h) patch, at each of the n
+        locations `locs` (n, 2); `reads` is how many rects the caller reads
+        in all. Of three readers it takes the one that touches the fewest
+        table entries:
+        - blocks, when the locations fill at least half the square they
+          span (a block read touches all of it, a gather each location
+          twice);
+        - patches, when a (w+1)(h+1) patch holds no more entries than the
+          4 * reads corners read at each location;
+        - a gather otherwise."""
+        n = len(locs)
+        if not n:
+            return _gathered_rect_sums(self, locs)
+        xs, ys = locs[:, 0], locs[:, 1]
+        lo = (int(xs.min()), int(ys.min()))
+        span = (int(xs.max()) + 1 - lo[0], int(ys.max()) + 1 - lo[1])
+        if span[0] * span[1] <= 2 * n:
+            return _block_rect_sums(self, locs, lo, span)
+        if (size[0] + 1) * (size[1] + 1) <= 4 * reads:
+            return _patch_rect_sums(self, locs, size)
+        return _gathered_rect_sums(self, locs)
 
 
 def gathered_sums(flat: np.ndarray, base, corners) -> np.ndarray:
@@ -155,18 +171,41 @@ def _gathered_rect_sums(table: IntegralTable, locs: np.ndarray):
     return rect_sums
 
 
-def _block_rect_sums(table: IntegralTable, locs: np.ndarray):
-    """Rect-sum reader for dense locations: each rect corner is read as one
-    block of the table over the square the locations span, and the
-    locations' sums are picked from the block of differences."""
-    # the square the locations span, empty for no locations
-    lo, end = (locs.min(axis=0), locs.max(axis=0) + 1) if len(locs) else (np.zeros(2, np.intp),) * 2
-    nx, ny = end - lo
+def _patch_rect_sums(table: IntegralTable, locs: np.ndarray, size):
+    """Rect-sum reader for sparse locations with small patches: the
+    (h+1) x (w+1) patch of the table at each location is copied once, as
+    one column of a (P, n) array, so each rect corner is the row at the
+    offset y * (w+1) + x that every location shares."""
+    pw, ph = size[0] + 1, size[1] + 1
+    patches = sliding_window_view(table.sum, (ph, pw))[locs[:, 1], locs[:, 0]].reshape(len(locs), ph * pw)
+    patches = np.ascontiguousarray(patches.T)
+
+    def rect_sums(x, y, w, h):
+        tl = y * pw + x
+        bl = tl + h * pw
+        out = patches.take(bl + w, axis=0)
+        out -= patches.take(tl + w, axis=0)
+        out -= patches.take(bl, axis=0)
+        out += patches.take(tl, axis=0)
+        return out
+
+    return rect_sums
+
+
+def _block_rect_sums(table: IntegralTable, locs: np.ndarray, lo, span):
+    """Rect-sum reader for dense locations in the span = (nx, ny) square at
+    lo = (x, y): each rect corner is read as one block of the table over
+    the square, and the locations' sums are picked from the block of
+    differences."""
+    nx, ny = span
     blocks = sliding_window_view(table.sum[lo[1] :, lo[0] :], (ny, nx))
     pick = (locs[:, 1] - lo[1]) * nx + (locs[:, 0] - lo[0])
 
     def rect_sums(x, y, w, h):
-        diff = blocks[y + h, x + w] - blocks[y, x + w] - blocks[y + h, x] + blocks[y, x]
+        diff = blocks[y + h, x + w]
+        diff -= blocks[y, x + w]
+        diff -= blocks[y + h, x]
+        diff += blocks[y, x]
         return diff.reshape(len(x), nx * ny).take(pick, axis=1)
 
     return rect_sums

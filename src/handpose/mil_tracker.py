@@ -10,6 +10,7 @@ classifiers that maximize the noisy-OR bag likelihood.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -93,15 +94,17 @@ def _feature_values(state: TrackerState, integral: IntegralTable, locs: np.ndarr
     # work on the columns by descending rect count, so pass k adds onto a prefix
     order = np.argsort(-n_rects, kind="stable")
     start, n_rects = start[order], n_rects[order]
-    rect_sums = integral.rect_sums(locs)
+    rect_sums = integral.rect_sums(locs, state.bbox[2:], int(n_rects.sum()))
     area = state.bbox[2] * state.bbox[3]
     # one row per column, so pass k adds onto the first c rows
     acc = np.zeros((len(feats), len(locs)), dtype=np.float64)
+    buf = np.empty_like(acc)  # every pass's float products
     for k in range(4):
         c = np.count_nonzero(n_rects > k)
         r = start[:c] + k
-        sums = rect_sums(*state.rects[r].T)
-        v = np.multiply(sums, state.rect_weight[r, None])  # float(sum) * weight, exact ints below 2**53
+        v = buf[:c]
+        v[...] = rect_sums(*state.rects[r].T)  # float(sum), exact ints below 2**53
+        v *= state.rect_weight[r, None]
         v /= area
         acc[:c] += v
     out = np.empty((len(locs), len(feats)), dtype=np.float64)
@@ -125,6 +128,23 @@ def _llr(state: TrackerState, values: np.ndarray, feats: np.ndarray) -> np.ndarr
     return np.subtract(a, b, out=a)
 
 
+@functools.lru_cache(maxsize=8)
+def _disc(outer: float, inner: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (dx, dy) with inner^2 < dy^2+dx^2 <= outer^2, in
+    lexicographic (dy, dx) order; no inner bound when `inner` is None.
+    Read-only, since every caller with these radii shares them (a tracker
+    uses three pairs)."""
+    r = int(np.floor(outer))
+    dy, dx = np.mgrid[-r : r + 1, -r : r + 1]
+    d2 = dy**2 + dx**2
+    keep = d2 <= outer**2
+    if inner is not None:
+        keep &= d2 > inner**2
+    dx, dy = dx[keep], dy[keep]
+    dx.flags.writeable = dy.flags.writeable = False
+    return dx, dy
+
+
 def _locations(state: TrackerState, outer: float, inner: float | None = None) -> np.ndarray:
     """In-frame patch corners (x, y) at integer offsets (dy, dx) from the box
     with inner^2 < dy^2+dx^2 <= outer^2, in lexicographic (dy, dx) order.
@@ -134,13 +154,9 @@ def _locations(state: TrackerState, outer: float, inner: float | None = None) ->
     """
     x, y, w, h = state.bbox
     fw, fh = state.frame_size
-    r = int(np.floor(outer))
-    # clip the offset square to the frame; the box itself is always in frame
-    dy, dx = np.mgrid[max(-r, -y) : min(r, fh - h - y) + 1, max(-r, -x) : min(r, fw - w - x) + 1]
-    d2 = dy**2 + dx**2
-    keep = d2 <= outer**2
-    if inner is not None:
-        keep &= d2 > inner**2
+    dx, dy = _disc(outer, inner)
+    # clip the offsets to the frame; the box itself is always in frame
+    keep = (dx >= -x) & (dx <= fw - w - x) & (dy >= -y) & (dy <= fh - h - y)
     return np.stack([x + dx[keep], y + dy[keep]], axis=1)
 
 

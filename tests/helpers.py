@@ -6,7 +6,7 @@ paths: plain loops, 64-bit accumulation, no shared code.
 
 import numpy as np
 
-from handpose import haar_cascade, mil_tracker, rand
+from handpose import haar_cascade, imaging, mil_tracker, rand
 from handpose.errors import ImageTooSmall, PatchOutOfFrame
 from handpose.imaging import Image, IntegralTable, integral_image
 from handpose.skin_segment import ComponentInfo
@@ -109,6 +109,23 @@ def mil_feature_values_oracle(state, pixels, locs, feats):
                 acc += float(total) * float(state.rect_weight[r]) / area
             out[li, col] = acc
     return out
+
+
+def forced_reader(name):
+    """An `IntegralTable.rect_sums` that sends every call through the
+    `imaging` reader `name`, whatever the rule would pick; blocks span the
+    locations' square (none for no locations)."""
+
+    def rect_sums(table, locs, size, reads):
+        if name == "_block_rect_sums":
+            lo = locs.min(axis=0) if len(locs) else np.zeros(2, np.intp)
+            span = locs.max(axis=0) + 1 - lo if len(locs) else np.zeros(2, np.intp)
+            return imaging._block_rect_sums(table, locs, lo, span)
+        if name == "_patch_rect_sums":
+            return imaging._patch_rect_sums(table, locs, size)
+        return imaging._gathered_rect_sums(table, locs)
+
+    return rect_sums
 
 
 def flood_fill_label_oracle(bits):
@@ -343,7 +360,7 @@ def select_classifiers_oracle(state, pos_llr, neg_llr):
     return np.array(chosen, dtype=np.intp)
 
 
-def _disc_locs_oracle(state, radius, inner=None):
+def disc_locs_oracle(state, radius, inner=None):
     """Box corner plus every (dy, dx) on the full square, lexicographic,
     filtered by radius, then by the frame."""
     r = int(np.floor(radius))
@@ -367,8 +384,8 @@ def mil_update_oracle(state, integral, origin, first=False):
     in the frame."""
     p = state.params
     cx, cy = state.bbox[0], state.bbox[1]
-    pos_locs = _disc_locs_oracle(state, p.pos_radius)
-    neg_locs = _disc_locs_oracle(state, p.neg_outer, p.neg_inner)
+    pos_locs = disc_locs_oracle(state, p.pos_radius)
+    neg_locs = disc_locs_oracle(state, p.neg_outer, p.neg_inner)
     if len(neg_locs) > p.num_negatives:
         pick = np.sort(state.rng.choice(len(neg_locs), p.num_negatives, replace=False))
         neg_locs = neg_locs[pick]
@@ -396,7 +413,7 @@ def mil_track_step_oracle(state, gray):
     """track_step over the filtered search disc and a full-frame table,
     learning with mil_update_oracle."""
     integral = int64_tables(gray, squared=False)
-    locs = _disc_locs_oracle(state, state.params.search_radius)
+    locs = disc_locs_oracle(state, state.params.search_radius)
     vals = mil_tracker._feature_values(state, integral, locs, state.selected)
     scores = mil_tracker._llr(state, vals, state.selected).sum(axis=1)
     best = int(scores.argmax())

@@ -280,6 +280,51 @@ class TestBadInputs:
         assert detect(step) == detect(same_as) != "0 detections\n"
 
 
+def _fit_skin_args(*flags):
+    def args(tmp_path):
+        csv = tmp_path / "pixels.csv"
+        csv.write_text("200,120,90\n")
+        return ["fit-skin", "--pixels", str(csv), "--out", str(tmp_path / "skin.txt"), *flags]
+
+    return args
+
+
+class TestNegativeNumberValues:
+    """An option value written as a negative number in exponent form, or as
+    -inf or -nan, is a value, as in the `--flag=value` form: not an unknown
+    option (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "build_args, flag, value, code",
+        [
+            (_detect_args(brightness_cascade(), size=(48, 48)), "--step-fraction", "-1e308", 0),
+            (_detect_args(brightness_cascade(), size=(48, 48)), "--step-fraction", "-2.5E-1", 0),
+            (_detect_args(brightness_cascade()), "--scale-factor", "-1e-3", 1),
+            (_detect_args(brightness_cascade()), "--step-fraction", "-inf", 1),
+            (_detect_args(brightness_cascade()), "--scale-factor", "-NaN", 1),
+            (_fit_skin_args(), "--alpha", "-1e-3", 1),
+        ],
+        ids=[
+            "step-fraction",
+            "step-fraction-upper",
+            "scale-factor",
+            "step-fraction-inf",
+            "scale-factor-nan",
+            "fit-skin-alpha",
+        ],
+    )
+    def test_spaced_value_runs_as_the_equals_form(self, capsys, tmp_path, build_args, flag, value, code):
+        argv = build_args(tmp_path)
+        assert main(argv + [f"{flag}={value}"]) == code
+        joined = capsys.readouterr()
+        assert main(argv + [flag, value]) == code
+        assert capsys.readouterr() == joined
+        if code:
+            assert joined.err.startswith("error:") and joined.err.count("\n") == 1
+        else:
+            assert joined.out.endswith(" detections\n") and not joined.err
+
+
 class TestClassify:
     def test_output_contract(self, capsys, zero_weights, mask_image):
         code = main(["classify", "--image", str(mask_image), "--weights", str(zero_weights)])

@@ -8,8 +8,6 @@ from handpose.imaging import (
     BinaryMask,
     Image,
     IntegralTable,
-    _block_rect_sums,
-    _gathered_rect_sums,
     integral_image,
     load_pnm,
     luma,
@@ -17,7 +15,7 @@ from handpose.imaging import (
     rgb_to_ycbcr,
     save_pnm,
 )
-from helpers import brute_rect_sum, rect_sqsum, rgb_to_ycbcr_oracle
+from helpers import brute_rect_sum, forced_reader, rect_sqsum, rgb_to_ycbcr_oracle
 
 
 class TestLoadPnm:
@@ -262,15 +260,19 @@ class TestSumTableDtype:
         assert got == want and all(type(v) is int for v in got)
         x, y, rw, rh = (np.array(c, dtype=np.intp) for c in zip(*rects))
         origin = np.zeros((1, 2), dtype=np.intp)
-        for reader in (IntegralTable.rect_sums, _block_rect_sums, _gathered_rect_sums):
-            sums = reader(table, origin)(x, y, rw, rh)
-            assert sums.shape == (len(rects), 1) and sums[:, 0].tolist() == want, reader.__name__
+        # the rule's own pick, then each reader forced
+        readers = {"rect_sums": IntegralTable.rect_sums}
+        for name in ("_block_rect_sums", "_patch_rect_sums", "_gathered_rect_sums"):
+            readers[name] = forced_reader(name)
+        for name, reader in readers.items():
+            sums = reader(table, origin, (w, h), len(rects))(x, y, rw, rh)
+            assert sums.shape == (len(rects), 1) and sums[:, 0].tolist() == want, name
         # four dense locations, each reading the rect that ends at the far corner
         locs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.intp)
         one = np.array([0], dtype=np.intp)
-        for reader in (IntegralTable.rect_sums, _block_rect_sums, _gathered_rect_sums):
-            sums = reader(table, locs)(one, one, one + w - 1, one + h - 1)
-            assert sums.tolist() == [[255 * (w - 1) * (h - 1)] * 4], reader.__name__
+        for name, reader in readers.items():
+            sums = reader(table, locs, (w - 1, h - 1), 1)(one, one, one + w - 1, one + h - 1)
+            assert sums.tolist() == [[255 * (w - 1) * (h - 1)] * 4], name
         # the one gather itself on both tables, in the table's dtype: each
         # rect from int corners, and all of them from (c, 1) corners
         base = np.zeros(1, dtype=np.intp)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from handpose import imaging, mil_tracker, rand
 from handpose.errors import HandposeError, PatchOutOfFrame
-from handpose.imaging import Image, integral_image, luma
+from handpose.imaging import Image, IntegralTable, integral_image, luma
 from handpose.mil_tracker import (
     MILParams,
     TrackResult,
@@ -18,6 +20,8 @@ from handpose.mil_tracker import (
 )
 
 from helpers import (
+    disc_locs_oracle,
+    forced_reader,
     mil_feature_values_oracle,
     mil_score,
     mil_track_step_oracle,
@@ -224,54 +228,89 @@ class TestFeatureValues:
                 want = mil_feature_values_oracle(state, frame.pixels[:, :, 0], locs, feats)
                 assert np.array_equal(got, want), case
 
-    @pytest.mark.parametrize("reader", ["_block_rect_sums", "_gathered_rect_sums"])
+    @pytest.mark.parametrize("reader", ["_block_rect_sums", "_patch_rect_sums", "_gathered_rect_sums"])
     def test_each_corner_reader_matches_oracle(self, monkeypatch, reader):
         # every rect sum goes through one reader; tables cover the whole
-        # frame, or the window a tracker call cuts around the box
-        monkeypatch.setattr(imaging, "_block_rect_sums", getattr(imaging, reader))
-        monkeypatch.setattr(imaging, "_gathered_rect_sums", getattr(imaging, reader))
-        fw, fh, bw, bh = 24, 20, 8, 6
+        # frame, or the window a tracker call cuts around the box, in int32
+        # and in int64; with up to 12 features (at most 48 rects) an 8 x 6
+        # box's patch (63 entries) lies on either side of the patch rule,
+        # a 16 x 14 box's (255 entries) always on the gather side
+        monkeypatch.setattr(IntegralTable, "rect_sums", forced_reader(reader))
+        fw, fh = 24, 20
         params = MILParams(num_features=12, num_selected=6, num_negatives=10)
         rng = rand.generator(75, 0)
         frame = Image(rng.integers(0, 256, size=(fh, fw)).astype(np.uint8))
         full = integral_image(frame, squared=False)
-        for x in (0, (fw - bw) // 2, fw - bw):
-            for y in (0, (fh - bh) // 2, fh - bh):
-                state = init_tracker(frame, (x, y, bw, bh), params, seed=x + y)
-                feats = rng.permutation(params.num_features)[: int(rng.integers(1, 13))]
-                bag = _locations(state, 9.0, 4.0)
-                cases = [
-                    (_locations(state, 6.0), 6),  # a disc clipped at this box's edges
-                    (_locations(state, 25.0), 25),  # every in-frame location
-                    (np.array([[x, y]]), 0),
-                    (np.empty((0, 2), dtype=np.intp), 0),
-                    (bag[np.sort(rng.choice(len(bag), min(len(bag), 10), replace=False))], 9),
-                ]
-                for locs, reach in cases:
-                    for integral, origin in ((full, np.zeros(2, np.intp)), _window_table(state, frame, reach)):
-                        got = _feature_values(state, integral, locs - origin, feats)
-                        pixels = frame.pixels[origin[1] :, origin[0] :, 0]
-                        want = mil_feature_values_oracle(state, pixels, locs - origin, feats)
-                        assert got.shape == want.shape == (len(locs), len(feats))
-                        assert np.array_equal(got, want), (x, y, len(locs), origin)
+        for bw, bh in ((8, 6), (16, 14)):
+            for x in (0, (fw - bw) // 2, fw - bw):
+                for y in (0, (fh - bh) // 2, fh - bh):
+                    state = init_tracker(frame, (x, y, bw, bh), params, seed=x + y)
+                    feats = rng.permutation(params.num_features)[: int(rng.integers(1, 13))]
+                    bag = _locations(state, 9.0, 4.0)
+                    cases = [
+                        (_locations(state, 6.0), 6),  # a disc clipped at this box's edges
+                        (_locations(state, 25.0), 25),  # every in-frame location
+                        (np.array([[x, y]]), 0),
+                        (np.empty((0, 2), dtype=np.intp), 0),
+                        (bag[np.sort(rng.choice(len(bag), min(len(bag), 10), replace=False))], 9),
+                    ]
+                    for locs, reach in cases:
+                        for integral, origin in ((full, np.zeros(2, np.intp)), _window_table(state, frame, reach)):
+                            pixels = frame.pixels[origin[1] :, origin[0] :, 0]
+                            want = mil_feature_values_oracle(state, pixels, locs - origin, feats)
+                            for table in (integral, IntegralTable(integral.sum.astype(np.int64), None)):
+                                got = _feature_values(state, table, locs - origin, feats)
+                                assert got.shape == want.shape == (len(locs), len(feats))
+                                assert np.array_equal(got, want), (bw, x, y, len(locs), origin, table.sum.dtype)
 
     def test_reader_chosen_by_density(self, monkeypatch):
+        # blocks for a dense set; for a sparse one, patches while a patch
+        # holds no more entries than the corners read at each location
         frame = textured_frame((40, 40), make_patch(seed=76))
         state = init_tracker(frame, (40, 40, 24, 24), FAST, seed=19)
         integral = integral_image(frame, squared=False)
         used = []
-        for name in ("_block_rect_sums", "_gathered_rect_sums"):
-            def spy(table, locs, real=getattr(imaging, name), name=name):
+        for name in ("_block_rect_sums", "_patch_rect_sums", "_gathered_rect_sums"):
+            def spy(table, locs, *args, real=getattr(imaging, name), name=name):
                 used.append(name)
-                return real(table, locs)
+                return real(table, locs, *args)
 
             monkeypatch.setattr(imaging, name, spy)
         disc = _locations(state, FAST.search_radius)
         annulus = _locations(state, FAST.neg_outer, FAST.neg_inner)
         bag = annulus[:: len(annulus) // FAST.num_negatives]
-        for locs in (disc, bag, disc[:1]):
-            _feature_values(state, integral, locs, state.selected)
-        assert used == ["_block_rect_sums", "_gathered_rect_sums", "_block_rect_sums"]
+        all_feats = np.arange(FAST.num_features)
+
+        def corners(feats):
+            return 4 * int((state.feat_start[feats + 1] - state.feat_start[feats]).sum())
+
+        assert corners(state.selected) < 25 * 25 <= corners(all_feats)
+        for locs, feats in ((disc, state.selected), (bag, state.selected), (bag, all_feats), (disc[:1], all_feats)):
+            _feature_values(state, integral, locs, feats)
+        assert used == ["_block_rect_sums", "_gathered_rect_sums", "_patch_rect_sums", "_block_rect_sums"]
+
+    def test_large_box_bag_stays_within_the_gather_footprint(self):
+        # a 300 x 300 box's patches would hold 115 x 301**2 int32 entries,
+        # 41.7 MB; the bag is read by the gather, whose arrays are (n, m)
+        # and (n, c) ones
+        side, m = 300, FULL.num_features
+        rng = rand.generator(78, 0)
+        frame = Image(rng.integers(0, 256, size=(side + 140, side + 140)).astype(np.uint8))
+        state = init_tracker(frame, (70, 70, side, side), FULL, seed=4)
+        integral, origin = _window_table(state, frame, int(FULL.neg_outer))
+        # the bag rows of one update: centre, positive disc, 65 negatives
+        negatives = _locations(state, FULL.neg_outer, FULL.neg_inner)[::20][:65]
+        locs = np.concatenate([[state.bbox[:2]], _locations(state, FULL.pos_radius), negatives])
+        assert len(locs) == 115 and (side + 1) ** 2 > 4 * int(state.feat_start[-1])
+        tracemalloc.start()
+        try:
+            vals = _feature_values(state, integral, locs - origin, np.arange(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (115, m)
+        gather = 8 * len(locs) * m * 8  # eight (n, m) arrays of 8-byte entries
+        assert peak <= gather < len(locs) * (side + 1) ** 2 * 4 // 20, peak
 
 
 class TestNoisyOr:
@@ -677,6 +716,24 @@ class TestOnePassUpdate:
             if 9 < dy * dy + dx * dx <= 9.5**2 and 0 <= dx <= 40 - 12 and 0 <= 21 + dy <= 32 - 10
         ]
         assert list(zip((y - 21).tolist(), x.tolist())) == want
+
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [(FULL.search_radius, None), (FULL.pos_radius, None), (FULL.neg_outer, FULL.neg_inner)],
+        ids=["search", "positive", "negative"],
+    )
+    def test_cached_offsets_match_mgrid_corners(self, outer, inner):
+        # every box position of a frame narrower than each disc (clipped on
+        # both sides) and of one wide enough for each disc to fit (clipped on
+        # no side to every pair of sides)
+        for fw, fh in ((40, 32), (90, 86)):
+            state = init_tracker(Image(np.zeros((fh, fw), dtype=np.uint8)), (0, 0, 12, 10), FAST, seed=1)
+            for y in range(fh - 10 + 1):
+                for x in range(fw - 12 + 1):
+                    state.bbox = (x, y, 12, 10)
+                    got = _locations(state, outer, inner)
+                    want = disc_locs_oracle(state, outer, inner)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (fw, x, y)
 
     def test_one_feature_pass_per_update(self, monkeypatch):
         frame = textured_frame((40, 40), make_patch(seed=74))
