@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HandposeError, ImageTooSmall, RectOutOfWindow, SchemaViolation
-from .imaging import Image, gathered_sums, hook_min_roots, integral_image, lattice_sums
+from .imaging import Image, hook_min_roots, integral_image, lattice_sums
+from .imaging import _gathered_rect_sums as gather
 
 
 @dataclass
@@ -268,27 +269,30 @@ GROUP_BLOCK = 16
 
 
 def _inv_norms(integral, oy: int, ny: int, nx: int, stride: int, ww: int, wh: int) -> np.ndarray:
-    """1 / (area * sigma) of the ww x wh windows at the ny x nx lattice
-    points of `lattice_sums`, row-major, sigma the windowed stddev clamped
-    below at 1, in the scalar order: mean = S / area, var = Q / area -
-    mean * mean, sigma = sqrt(max(var, 1)), 1.0 / (area * sigma). The box
+    """1 / (area * sigma) of the ww x wh windows at the points of the
+    ny x nx lattice of one band (first row at table row `oy`), row-major,
+    read through one `lattice_sums` reader of each of the sum and squared
+    tables. sigma is the windowed stddev clamped below at 1, in the scalar
+    order: mean = S / area, var = Q / area - mean * mean,
+    sigma = sqrt(max(var, 1)), 1.0 / (area * sigma). The box
     sums S and Q are exact integers below 2**53, so they convert to float64
     exactly, and every op is correctly rounded, as Python's int / int and
     math.sqrt are: each value is bit for bit the scalar one."""
     area = ww * wh
-    mean = lattice_sums(integral.sum, oy, ny, nx, stride, 0, 0, ww, wh).ravel() / area
-    var = lattice_sums(integral.sqsum, oy, ny, nx, stride, 0, 0, ww, wh).ravel() / area
+    mean = lattice_sums(integral.sum, (0, oy), ny, nx, stride)(0, 0, ww, wh).ravel() / area
+    var = lattice_sums(integral.sqsum, (0, oy), ny, nx, stride)(0, 0, ww, wh).ravel() / area
     var -= mean * mean
     # sqrt is monotone and sqrt(1) == 1: sqrt(var) where var > 1, else 1
     return 1.0 / (area * np.sqrt(np.maximum(var, 1.0)))
 
 
 def _feature(rects, sums):
-    """A node's feature before normalization: weight * sums(rect) added
-    to 0.0 in rect order, as in the scalar oracle (`tests/helpers.py`)."""
+    """A node's feature before normalization at each window, row-major:
+    weight * sums(rect) added to 0.0 in rect order, as in the scalar
+    oracle (`tests/helpers.py`)."""
     f = 0.0
     for weight, rect in rects:
-        f += weight * sums(rect)  # the first add makes f an array
+        f += weight * sums(*rect).ravel()  # the first add makes f an array
     return f
 
 
@@ -323,23 +327,24 @@ def _tree_values(nodes, f, read, inv_norm):
 
 def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, stride: int):
     """The verdict of every window of one scale's stride grid, as a flat
-    bool memoryview over the sum table: window (x, y) sits at base =
-    y * row + x, True where it passes every stage. Entries off the grid
-    are False.
+    bool memoryview over the sum table: window (x, y) sits at its corner's
+    flat index (`IntegralTable.corners`), True where it passes every
+    stage. Entries off the grid are False.
 
     The grid is taken in bands of whole grid rows, SCAN_BLOCK windows or
     one row each, so only the verdict spans the table. Every window of a
     band sees the norms (`_inv_norms`) and the roots of the first stage's
-    trees, so those read the band's lattice of windows through strided
-    views (`lattice_sums`). Deeper nodes and later stages see sparse live
-    sets: they read through `gathered_sums` at the flat bases of just
-    those windows. A band runs the stages as array passes in the scalar
-    order: each tree's values (`_tree_values`) are summed from zero in
-    tree order, and a window leaves at the first stage whose total is
-    below the threshold. A nan total is not below it, so it passes, as in
-    the scalar oracle; huge weights overflow to inf and nan there too, and
-    print no warning."""
-    flat = integral.sum.ravel()
+    trees, so those read the band's lattice of windows: the norms through
+    their own sum and squared-sum readers, the roots through one
+    `lattice_sums` reader of the sum table built for the band. Deeper
+    nodes and later stages see sparse live sets: they read through
+    `_gathered_rect_sums` at the flat bases of just those windows. A band
+    runs the stages as array passes in the scalar order: each tree's
+    values (`_tree_values`) are summed from zero in tree order, and a
+    window leaves at the first stage whose total is below the threshold.
+    A nan total is not below it, so it passes, as in the scalar oracle;
+    huge weights overflow to inf and nan there too, and print no
+    warning."""
     rows, row = integral.sum.shape
     nx = len(range(0, row - ww, stride))
     ny = len(range(0, rows - wh, stride))
@@ -349,34 +354,28 @@ def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int
 
     stages = [(s.threshold, [[compile_node(node) for node in t.nodes] for t in s.trees]) for s in model.stages]
 
-    def gather(base):
-        return lambda rect: gathered_sums(flat, base, integral.corners(*rect))
-
-    verdict = np.zeros(flat.size, dtype=bool)
+    verdict = np.zeros(integral.sum.size, dtype=bool)
     band = max(1, SCAN_BLOCK // nx)
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(0, ny, band):
             oy, nb = top * stride, min(band, ny - top)
 
-            def lattice(rect, oy=oy, nb=nb):
-                return lattice_sums(integral.sum, oy, nb, nx, stride, *rect).ravel()
-
-            def bases(k, first=top * row):
+            def bases(k, top=top):
                 # the flat bases of the band's windows k, counted row-major
-                return (k // nx * row + k % nx + first) * stride
+                return integral.corners(row, k % nx * stride, (k // nx + top) * stride, 0, 0)[0]
 
             inv_norm = _inv_norms(integral, oy, nb, nx, stride, ww, wh)
             # the first stage reads its roots from the lattice; then `at`
             # maps positions in the live set to flat bases
-            root, at = lattice, bases
+            root, at = lattice_sums(integral.sum, (0, oy), nb, nx, stride), bases
             for threshold, trees in stages:
                 total = np.zeros(len(inv_norm))
                 for nodes in trees:
                     f = _feature(nodes[0][0], root)
-                    total += _tree_values(nodes, f, lambda here, at=at: gather(at(here)), inv_norm)
+                    total += _tree_values(nodes, f, lambda here, at=at: gather(integral, at(here)), inv_norm)
                 live = np.flatnonzero(~(total < threshold))
                 base, inv_norm = at(live), inv_norm[live]
-                root, at = gather(base), base.__getitem__
+                root, at = gather(integral, base), base.__getitem__
             # the windows left after every stage (all of the band if none)
             verdict[at(np.arange(len(inv_norm)))] = True
     return memoryview(verdict)

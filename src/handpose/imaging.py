@@ -97,10 +97,10 @@ class IntegralTable:
         s = self.sum
         return int(s[y + h, x + w] - s[y, x + w] - s[y + h, x] + s[y, x])
 
-    def corners(self, x, y, w, h):
-        """Flat indices (tl, tr, bl, br) of a rect's corners in the raveled
-        tables, y * row + x; ints or int arrays alike."""
-        row = self.sum.shape[1]
+    @staticmethod
+    def corners(row, x, y, w, h):
+        """Flat indices (tl, tr, bl, br) of a rect's corners in a raveled
+        table of `row` entries a row; ints or int arrays alike."""
         tl = y * row + x
         bl = tl + h * row
         return tl, tl + w, bl, bl + w
@@ -111,62 +111,76 @@ class IntegralTable:
         locations `locs` (n, 2); `reads` is how many rects the caller reads
         in all. Of three readers it takes the one that touches the fewest
         table entries:
-        - blocks, when the locations fill at least half the square they
-          span (a block read touches all of it, a gather each location
-          twice);
+        - blocks (a stride-1 lattice), when the locations fill at least
+          half the square they span (a block read touches all of it, a
+          gather each location twice);
         - patches, when a (w+1)(h+1) patch holds no more entries than the
           4 * reads corners read at each location;
-        - a gather otherwise."""
+        - a gather at the locations' flat indices otherwise."""
         n = len(locs)
-        if not n:
-            return _gathered_rect_sums(self, locs)
         xs, ys = locs[:, 0], locs[:, 1]
-        lo = (int(xs.min()), int(ys.min()))
-        span = (int(xs.max()) + 1 - lo[0], int(ys.max()) + 1 - lo[1])
-        if span[0] * span[1] <= 2 * n:
-            return _block_rect_sums(self, locs, lo, span)
-        if (size[0] + 1) * (size[1] + 1) <= 4 * reads:
-            return _patch_rect_sums(self, locs, size)
-        return _gathered_rect_sums(self, locs)
+        if n:
+            lo = (int(xs.min()), int(ys.min()))
+            span = (int(xs.max()) + 1 - lo[0], int(ys.max()) + 1 - lo[1])
+            if span[0] * span[1] <= 2 * n:
+                return _block_rect_sums(self, locs, lo, span)
+            if (size[0] + 1) * (size[1] + 1) <= 4 * reads:
+                return _patch_rect_sums(self, locs, size)
+        base, *_ = self.corners(self.sum.shape[1], xs, ys, 0, 0)  # each location's flat index
+        return _gathered_rect_sums(self, base)
 
 
-def gathered_sums(flat: np.ndarray, base, corners) -> np.ndarray:
-    """Exact sums br - tr - bl + tl of the raveled table `flat` in its dtype,
-    each corner taken at its offset from the flat indices `base`: corners
-    (tl, tr, bl, br) of `IntegralTable.corners` are ints for one box, or
-    (c, 1) arrays for c boxes at each base. Built in place."""
+def gathered_sums(table: np.ndarray, corners) -> np.ndarray:
+    """Exact sums br - tr - bl + tl of a summed-area table in its dtype,
+    each corner (tl, tr, bl, br) an int or an int array of indices along
+    axis 0: over a raveled table, (n,) or (c, n) flat indices give n or
+    (c, n) sums; over a (P, n) table of n patches, the ints or (c,) arrays
+    of `IntegralTable.corners` give n or (c, n) sums. Built in place."""
     tl, tr, bl, br = corners
-    out = flat.take(base + br)
-    out -= flat.take(base + tr)
-    out -= flat.take(base + bl)
-    out += flat.take(base + tl)
+    out = table.take(br, axis=0)
+    out -= table.take(tr, axis=0)
+    out -= table.take(bl, axis=0)
+    out += table.take(tl, axis=0)
     return out
 
 
-def lattice_sums(table: np.ndarray, oy: int, ny: int, nx: int, stride: int, x, y, w, h) -> np.ndarray:
-    """Exact sums of the rect (x, y, w, h) at every point of the ny x nx
-    lattice whose first row lies at table row `oy` and whose first column
-    at column 0, `stride` apart both ways, as an (ny, nx) array in the
-    table's dtype. Each corner is one strided slice of the 2-D `table`, and
-    the sum is taken in `gathered_sums`' order, so each is the same integer."""
-
-    def corner(dx, dy):
-        return table[oy + dy :: stride, dx::stride][:ny, :nx]
-
-    out = corner(x + w, y + h) - corner(x + w, y)
-    out -= corner(x, y + h)
-    out += corner(x, y)
-    return out
-
-
-def _gathered_rect_sums(table: IntegralTable, locs: np.ndarray):
-    """Rect-sum reader for scattered locations: `gathered_sums` of each
-    rect at every location's flat index."""
-    flat = table.sum.ravel()
-    base, *_ = table.corners(locs[:, 0], locs[:, 1], 0, 0)  # each location's flat index
+def lattice_sums(table: np.ndarray, origin, ny: int, nx: int, stride: int):
+    """Reader (x, y, w, h) -> exact sums of the rect at every point of the
+    ny x nx lattice whose first point lies at table entry origin = (x, y),
+    `stride` apart both ways, in the table's dtype: (ny, nx) for an int
+    rect, (c, ny, nx) for int arrays of c rects. Every corner is read from
+    one read-only view v[dy, dx, i, j] = table[oy + dy + i * stride,
+    ox + dx + j * stride] (a slice of it for an int rect, a fancy index
+    for arrays), and the sum is taken in `gathered_sums`' order, so each
+    is the same integer."""
+    t = np.ascontiguousarray(table)
+    (ox, oy), (rs, cs) = origin, t.strides
+    shape = (t.shape[0] - oy - (ny - 1) * stride, t.shape[1] - ox - (nx - 1) * stride, ny, nx)
+    view = np.ndarray(shape, t.dtype, t, oy * rs + ox * cs, (rs, cs, rs * stride, cs * stride))
+    # an int rect's corners are views of the table: read-only, so no write
+    # reaches it, and the reader tells them from an array's copies by it
+    view.flags.writeable = False
 
     def rect_sums(x, y, w, h):
-        return gathered_sums(flat, base, [c[:, None] for c in table.corners(x, y, w, h)])
+        # an array of rects gathers each corner as a fresh, writable copy:
+        # the first difference goes into it, one (c, ny, nx) temporary fewer
+        out = view[y + h, x + w]
+        out = np.subtract(out, view[y, x + w], out=out if out.flags.writeable else None)
+        out -= view[y + h, x]
+        out += view[y, x]
+        return out
+
+    return rect_sums
+
+
+def _gathered_rect_sums(table: IntegralTable, base: np.ndarray):
+    """Rect-sum reader at the n flat indices `base` of the raveled sum
+    table: `gathered_sums` of an int rect (n,), or of int arrays of c
+    rects (c, n), each corner at its offset from every base."""
+    flat, row = table.sum.ravel(), table.sum.shape[1]
+
+    def rect_sums(x, y, w, h):
+        return gathered_sums(flat, [base + np.asarray(c)[..., None] for c in table.corners(row, x, y, w, h)])
 
     return rect_sums
 
@@ -174,41 +188,22 @@ def _gathered_rect_sums(table: IntegralTable, locs: np.ndarray):
 def _patch_rect_sums(table: IntegralTable, locs: np.ndarray, size):
     """Rect-sum reader for sparse locations with small patches: the
     (h+1) x (w+1) patch of the table at each location is copied once, as
-    one column of a (P, n) array, so each rect corner is the row at the
-    offset y * (w+1) + x that every location shares."""
+    one column of a (P, n) array, so each rect corner is the row of the
+    raveled patch that every location shares."""
     pw, ph = size[0] + 1, size[1] + 1
     patches = sliding_window_view(table.sum, (ph, pw))[locs[:, 1], locs[:, 0]].reshape(len(locs), ph * pw)
     patches = np.ascontiguousarray(patches.T)
-
-    def rect_sums(x, y, w, h):
-        tl = y * pw + x
-        bl = tl + h * pw
-        out = patches.take(bl + w, axis=0)
-        out -= patches.take(tl + w, axis=0)
-        out -= patches.take(bl, axis=0)
-        out += patches.take(tl, axis=0)
-        return out
-
-    return rect_sums
+    return lambda x, y, w, h: gathered_sums(patches, table.corners(pw, x, y, w, h))
 
 
 def _block_rect_sums(table: IntegralTable, locs: np.ndarray, lo, span):
     """Rect-sum reader for dense locations in the span = (nx, ny) square at
-    lo = (x, y): each rect corner is read as one block of the table over
-    the square, and the locations' sums are picked from the block of
-    differences."""
+    lo = (x, y): each rect is read at every point of the square as a
+    stride-1 lattice, and the locations' sums are picked from it."""
     nx, ny = span
-    blocks = sliding_window_view(table.sum[lo[1] :, lo[0] :], (ny, nx))
-    pick = (locs[:, 1] - lo[1]) * nx + (locs[:, 0] - lo[0])
-
-    def rect_sums(x, y, w, h):
-        diff = blocks[y + h, x + w]
-        diff -= blocks[y, x + w]
-        diff -= blocks[y + h, x]
-        diff += blocks[y, x]
-        return diff.reshape(len(x), nx * ny).take(pick, axis=1)
-
-    return rect_sums
+    sums = lattice_sums(table.sum, lo, ny, nx, 1)
+    pick, *_ = table.corners(nx, locs[:, 0] - lo[0], locs[:, 1] - lo[1], 0, 0)
+    return lambda x, y, w, h: sums(x, y, w, h).reshape(len(x), nx * ny).take(pick, axis=1)
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:

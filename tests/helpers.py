@@ -123,7 +123,8 @@ def forced_reader(name):
             return imaging._block_rect_sums(table, locs, lo, span)
         if name == "_patch_rect_sums":
             return imaging._patch_rect_sums(table, locs, size)
-        return imaging._gathered_rect_sums(table, locs)
+        base, *_ = table.corners(table.sum.shape[1], locs[:, 0], locs[:, 1], 0, 0)
+        return imaging._gathered_rect_sums(table, base)
 
     return rect_sums
 

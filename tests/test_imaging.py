@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from handpose import imaging, rand
+from handpose import haar_cascade, imaging, mil_tracker, rand
 from handpose.errors import HandposeError
 from handpose.gesture_net import binarize
+from handpose.haar_cascade import CascadeModel, Stage, Tree, TreeNode, WeightedRect
 from handpose.imaging import (
     BinaryMask,
     Image,
@@ -206,14 +207,14 @@ class TestIntegralImage:
         rng = rand.generator(7, 1)
         px = rng.integers(0, 256, size=(9, 13)).astype(np.uint8)
         table = integral_image(Image(px))
-        flat = table.sum.ravel()
+        flat, row = table.sum.ravel(), table.sum.shape[1]
         rects = [(x, y, w, h) for y in range(9) for x in range(13) for h in range(10 - y) for w in range(14 - x)]
         for x, y, w, h in rects:
-            tl, tr, bl, br = table.corners(x, y, w, h)
+            tl, tr, bl, br = table.corners(row, x, y, w, h)
             assert all(isinstance(v, int) for v in (tl, tr, bl, br))
             assert flat[br] - flat[tr] - flat[bl] + flat[tl] == table.rect_sum(x, y, w, h)
         x, y, w, h = (np.array(c, dtype=np.intp) for c in zip(*rects))
-        tl, tr, bl, br = table.corners(x, y, w, h)
+        tl, tr, bl, br = table.corners(row, x, y, w, h)
         got = flat[br] - flat[tr] - flat[bl] + flat[tl]
         assert got.tolist() == [table.rect_sum(*r) for r in rects]
 
@@ -275,21 +276,26 @@ class TestSumTableDtype:
             assert sums.tolist() == [[255 * (w - 1) * (h - 1)] * 4], name
         # the one gather itself on both tables, in the table's dtype: each
         # rect from int corners, and all of them from (c, 1) corners
-        base = np.zeros(1, dtype=np.intp)
-        corners = [c[:, None] for c in table.corners(x, y, rw, rh)]
+        base, row = np.zeros(1, dtype=np.intp), w + 1
+        corners = [c[:, None] for c in table.corners(row, x, y, rw, rh)]
         for t, level in ((table.sum, 255), (table.sqsum, 255 * 255)):
             flat, want = t.ravel(), (level * rw * rh).tolist()
             for r, v in zip(rects, want):
-                box = imaging.gathered_sums(flat, base, table.corners(*r))
+                box = imaging.gathered_sums(flat, [base + c for c in table.corners(row, *r)])
                 assert box.dtype == t.dtype and box.tolist() == [v], r
-            sums = imaging.gathered_sums(flat, base, corners)
+            sums = imaging.gathered_sums(flat, [base + c for c in corners])
             assert sums.dtype == t.dtype and sums.shape == (len(rects), 1) and sums[:, 0].tolist() == want
         # the lattice reader on both tables: a 2 x 2 lattice of (w - 1) x
-        # (h - 1) windows, each rect ending at the far corner of its window
+        # (h - 1) windows, each rect ending at the far corner of its window,
+        # read one rect at a time and all three at once
+        lattice = [(0, 0, w - 1, h - 1), (w - 2, h - 2, 1, 1), (w - 4, 0, 3, h - 1)]
         for t, level in ((table.sum, 255), (table.sqsum, 255 * 255)):
-            for r in [(0, 0, w - 1, h - 1), (w - 2, h - 2, 1, 1), (w - 4, 0, 3, h - 1)]:
-                sums = imaging.lattice_sums(t, 0, 2, 2, 1, *r)
+            reader = imaging.lattice_sums(t, (0, 0), 2, 2, 1)
+            for r in lattice:
+                sums = reader(*r)
                 assert sums.dtype == t.dtype and sums.tolist() == [[level * r[2] * r[3]] * 2] * 2, r
+            sums = reader(*(np.array(c, dtype=np.intp) for c in zip(*lattice)))
+            assert sums.dtype == t.dtype and sums.tolist() == [[[level * r[2] * r[3]] * 2] * 2 for r in lattice]
 
 
 class TestLatticeSums:
@@ -318,7 +324,121 @@ class TestLatticeSums:
             base = np.array([(oy + i * stride) * row + j * stride for i in range(nb) for j in range(nx)])
             for t in (table.sum, table.sqsum):
                 for r in rects:
-                    got = imaging.lattice_sums(t, oy, nb, nx, stride, *r)
-                    want = imaging.gathered_sums(t.ravel(), base, table.corners(*r))
+                    got = imaging.lattice_sums(t, (0, oy), nb, nx, stride)(*r)
+                    want = imaging.gathered_sums(t.ravel(), [base + c for c in table.corners(row, *r)])
                     assert got.dtype == t.dtype and got.shape == (nb, nx), (top, nb, r)
                     assert got.ravel().tolist() == want.tolist(), (top, nb, r)
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_array_rects_match_one_rect_reads_and_gathered_sums(self, stride, dtype, cut):
+        # c rects read at once are == each rect read alone and == the
+        # gather at every lattice point, on a lattice whose first point
+        # lies at a non-zero column (where the tracker's block reader puts
+        # it), in both sum dtypes, on a whole table and on a non-contiguous
+        # cut of one
+        rng = rand.generator(7, 3)
+        px = rng.integers(0, 256, size=(31, 41)).astype(np.uint8)
+        t = integral_image(Image(px)).sum.astype(dtype)
+        if cut:
+            t = t[2:, 3:]
+            assert not t.flags.c_contiguous
+        rows, row = t.shape
+        (ox, oy), (ww, wh) = (5, 2), (6, 4)
+        nx, ny = len(range(ox, row - ww, stride)), len(range(oy, rows - wh, stride))
+        rects = []
+        for _ in range(12):
+            w, h = int(rng.integers(1, ww + 1)), int(rng.integers(1, wh + 1))
+            rects.append((int(rng.integers(0, ww - w + 1)), int(rng.integers(0, wh - h + 1)), w, h))
+        rects += [(0, 0, ww, wh), (ww - 1, wh - 1, 1, 1)]
+        x, y, w, h = (np.array(c, dtype=np.intp) for c in zip(*rects))
+        reader = imaging.lattice_sums(t, (ox, oy), ny, nx, stride)
+        got = reader(x, y, w, h)
+        assert got.dtype == dtype and got.shape == (len(rects), ny, nx)
+        lx, ly = np.meshgrid(ox + stride * np.arange(nx), oy + stride * np.arange(ny))
+        base, *_ = IntegralTable.corners(row, lx.ravel(), ly.ravel(), 0, 0)
+        corners = [c[:, None] for c in IntegralTable.corners(row, x, y, w, h)]
+        want = imaging.gathered_sums(np.ascontiguousarray(t).ravel(), [base + c for c in corners])
+        assert want.dtype == dtype and got.reshape(len(rects), ny * nx).tolist() == want.tolist()
+        for k, r in enumerate(rects):
+            one = reader(*r)
+            assert one.dtype == dtype and one.shape == (ny, nx) and one.tolist() == got[k].tolist(), r
+
+    def test_gathered_sums_along_the_rows_of_patches(self):
+        # over a (P, n) table whose columns are n raveled 8 x 6 patches of
+        # a sum table, the reads along axis 0 are == the 1-D reads of each
+        # column and == the table's own sums of the shifted rects, for int
+        # corners and (c,) arrays of them
+        rng = rand.generator(7, 4)
+        px = rng.integers(0, 256, size=(20, 24)).astype(np.uint8)
+        table = integral_image(Image(px))
+        pw, ph = 8, 6
+        locs = [(int(rng.integers(0, 24 - pw + 2)), int(rng.integers(0, 20 - ph + 2))) for _ in range(9)]
+        patches = np.stack([table.sum[ly : ly + ph, lx : lx + pw].ravel() for lx, ly in locs], axis=1)
+        rects = [(x, y, w, h) for y in range(ph - 1) for x in range(pw - 1) for h in range(1, ph - y) for w in range(1, pw - x)]
+        x, y, w, h = (np.array(c, dtype=np.intp) for c in zip(*rects))
+        corners = IntegralTable.corners(pw, x, y, w, h)
+        got = imaging.gathered_sums(patches, corners)
+        assert got.dtype == table.sum.dtype and got.shape == (len(rects), len(locs))
+        for j, (lx, ly) in enumerate(locs):
+            assert imaging.gathered_sums(patches[:, j], corners).tolist() == got[:, j].tolist()
+            assert got[:, j].tolist() == [table.rect_sum(lx + rx, ly + ry, rw, rh) for rx, ry, rw, rh in rects]
+        for k, r in enumerate(rects):
+            one = imaging.gathered_sums(patches, IntegralTable.corners(pw, *r))
+            assert one.shape == (len(locs),) and one.tolist() == got[k].tolist(), r
+
+
+class TestLatticeIsReadOnly:
+    """An int rect's corners are views into the sum table, so the lattice
+    view they are cut from refuses writes: an in-place op on a corner
+    would change the frame's sums for every later read."""
+
+    def test_writes_through_the_view_raise(self):
+        table = integral_image(Image(np.arange(48, dtype=np.uint8).reshape(6, 8)))
+        before = table.sum.copy()
+        reader = imaging.lattice_sums(table.sum, (1, 1), 2, 3, 2)
+        # the reader's one view, from its closure
+        view = dict(zip(reader.__code__.co_freevars, (c.cell_contents for c in reader.__closure__)))["view"]
+        assert view.ndim == 4 and np.shares_memory(view, table.sum) and not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[1, 1] -= 1
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0] = 7
+        # the sums are an array of their own
+        sums = reader(0, 0, 2, 2)
+        assert sums.flags.writeable and not np.shares_memory(sums, table.sum)
+        sums -= 1
+        assert np.array_equal(table.sum, before)
+
+    def test_sum_tables_unchanged_by_detect_and_track(self, monkeypatch):
+        # every table detect_multiscale and a tracker call build is the
+        # same after the call as when it was built; the cascade passes
+        # every window, so its depth-2 first stage reads the lattice and
+        # gathers, and its second stage gathers
+        made = []
+
+        def recording(real):
+            def integral(*args, **kwargs):
+                table = real(*args, **kwargs)
+                made.append((table, [t.copy() for t in (table.sum, table.sqsum) if t is not None]))
+                return table
+
+            return integral
+
+        monkeypatch.setattr(haar_cascade, "integral_image", recording(haar_cascade.integral_image))
+        monkeypatch.setattr(mil_tracker, "integral_image", recording(mil_tracker.integral_image))
+        rng = rand.generator(7, 5)
+        frames = [Image(rng.integers(0, 256, size=(48, 64)).astype(np.uint8)) for _ in range(2)]
+        rects = [WeightedRect(0, 0, 8, 8, -1.0), WeightedRect(2, 1, 4, 6, 2.0)]
+        root = TreeNode(rects, 0.0, left_child=1, right_child=2)
+        leaf = TreeNode(rects, 0.1, left_val=1.0, right_val=1.0)
+        stump = TreeNode(rects, -0.1, left_val=1.0, right_val=1.0)
+        model = CascadeModel((8, 8), [Stage(0.5, [Tree([root, leaf, leaf])]), Stage(0.5, [Tree([stump])])])
+        assert haar_cascade.detect_multiscale(model, frames[0], scale_factor=1.5, step_fraction=2.0)
+        state = mil_tracker.init_tracker(frames[0], (24, 16, 14, 12), mil_tracker.MILParams(20, 5, 10), seed=3)
+        mil_tracker.track_step(state, frames[1])
+        assert len(made) == 3
+        for table, copies in made:
+            for t, copy in zip((table.sum, table.sqsum), copies):
+                assert np.array_equal(t, copy)
