@@ -11,7 +11,7 @@ import numpy as np
 
 from . import rand
 from .errors import HandposeError
-from .gesture_net import Network
+from .gesture_net import INPUT_SIDE, Network
 from .pipeline import PipelineConfig, latency_stats, run_session
 
 # published reference point for the same network on a 1.2 GHz embedded
@@ -47,7 +47,7 @@ def bench_forward(net: Network, iters: int = 100, warmup: int = 10, seed: int = 
     """Time single-image forward passes on a fixed random binary input."""
     if iters < 1 or warmup < 0:
         raise HandposeError("need iters >= 1 and warmup >= 0")
-    bits = rand.generator(seed, 3).integers(0, 2, size=(48, 48))
+    bits = rand.generator(seed, 3).integers(0, 2, size=(INPUT_SIDE, INPUT_SIDE))
     x = bits.astype(np.float32)[None, None]
     for _ in range(warmup):
         net.forward(x)

@@ -169,9 +169,9 @@ def _cmd_train(args):
 def _cmd_eval(args):
     net = gesture_net.load_weights(Path(args.weights).read_bytes())
     data = _load_dataset(args)
-    cm, acc = gesture_net.evaluate(net, data)
+    cm = gesture_net.evaluate(net, data)
     Path(args.report).write_text(cm.to_csv())
-    print(f"accuracy {acc:.4f} -> {args.report}")
+    print(f"accuracy {cm.accuracy:.4f} -> {args.report}")
 
 
 def _cmd_classify(args):

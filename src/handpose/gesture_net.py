@@ -276,8 +276,7 @@ def evaluate(net: Network, data: Dataset):
     x, y = data.as_arrays()
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(counts, (y, _predict_all(net, x)), 1)
-    cm = ConfusionMatrix(counts)
-    return cm, cm.accuracy
+    return ConfusionMatrix(counts)
 
 
 # ------------------------------------------------------------ weight file

@@ -258,7 +258,7 @@ def _scaled_rect(r: WeightedRect, scale: float):
     return x, y, max(1, round((r.x + r.w) * scale) - x), max(1, round((r.y + r.h) * scale) - y)
 
 
-# windows of one scale's stride grid that _compile_scale evaluates at once,
+# windows of one scale's stride grid that _scan_scale evaluates at once,
 # in bands of whole grid rows; each array of a band's pass holds at most
 # this many entries (or one grid row, if that is longer)
 SCAN_BLOCK = 16384
@@ -325,72 +325,16 @@ def _tree_values(nodes, f, read, inv_norm):
     return value
 
 
-def _compile_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, stride: int):
-    """The verdict of every window of one scale's stride grid, as a flat
-    bool memoryview over the sum table: window (x, y) sits at its corner's
-    flat index (`IntegralTable.corners`), True where it passes every
-    stage. Entries off the grid are False.
-
-    The grid is taken in bands of whole grid rows, SCAN_BLOCK windows or
-    one row each, so only the verdict spans the table. Every window of a
-    band sees the norms (`_inv_norms`) and the roots of the first stage's
-    trees, so those read the band's lattice of windows: the norms through
-    their own sum and squared-sum readers, the roots through one
-    `lattice_sums` reader of the sum table built for the band. Deeper
-    nodes and later stages see sparse live sets: they read through
-    `_gathered_rect_sums` at the flat bases of just those windows. A band
-    runs the stages as array passes in the scalar order: each tree's
-    values (`_tree_values`) are summed from zero in tree order, and a
-    window leaves at the first stage whose total is below the threshold.
-    A nan total is not below it, so it passes, as in the scalar oracle;
-    huge weights overflow to inf and nan there too, and print no
-    warning."""
-    rows, row = integral.sum.shape
-    nx = len(range(0, row - ww, stride))
-    ny = len(range(0, rows - wh, stride))
-
-    def compile_node(node):
-        return [(r.weight, _scaled_rect(r, scale)) for r in node.rects], node
-
-    stages = [(s.threshold, [[compile_node(node) for node in t.nodes] for t in s.trees]) for s in model.stages]
-
-    verdict = np.zeros(integral.sum.size, dtype=bool)
-    band = max(1, SCAN_BLOCK // nx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for top in range(0, ny, band):
-            oy, nb = top * stride, min(band, ny - top)
-
-            def bases(k, top=top):
-                # the flat bases of the band's windows k, counted row-major
-                return integral.corners(row, k % nx * stride, (k // nx + top) * stride, 0, 0)[0]
-
-            inv_norm = _inv_norms(integral, oy, nb, nx, stride, ww, wh)
-            # the first stage reads its roots from the lattice; then `at`
-            # maps positions in the live set to flat bases
-            root, at = lattice_sums(integral.sum, (0, oy), nb, nx, stride), bases
-            for threshold, trees in stages:
-                total = np.zeros(len(inv_norm))
-                for nodes in trees:
-                    f = _feature(nodes[0][0], root)
-                    total += _tree_values(nodes, f, lambda here, at=at: gather(integral, at(here)), inv_norm)
-                live = np.flatnonzero(~(total < threshold))
-                base, inv_norm = at(live), inv_norm[live]
-                root, at = gather(integral, base), base.__getitem__
-            # the windows left after every stage (all of the band if none)
-            verdict[at(np.arange(len(inv_norm)))] = True
-    return memoryview(verdict)
-
-
-def evaluate_window(scan: memoryview, base: int) -> bool:
-    """The verdict of the window whose top-left corner is flat index
-    `base`, read from the scale's `_compile_scale` pass.
+def evaluate_window(scan: memoryview, k: int) -> bool:
+    """The verdict of the window at grid position `k` of one scale, read
+    from `_scan_scale`'s array passes.
 
     `_scan_scale` calls this once per grid position: it is the seam the
     benchmark's window counter (`perfbench/check_geometry.py`) wraps. The
-    loop of calls is about two thirds of a 160x120 scan (5.3 of 8.0 ms,
-    best of 30, wall, 2-CPU x86-64; every scale's `_compile_scale` 2.4 ms),
-    and can go once the counter reads `_scan_scale`'s grids instead."""
-    return scan[base]
+    loop of calls is about three fifths of a 160x120 scan (3.8 of 6.4 ms,
+    best of 30, wall, 2-CPU x86-64 Xeon), and can go once the counter
+    reads `_scan_scale`'s grids instead."""
+    return scan[k]
 
 
 def _group_detections(raw, min_neighbors):
@@ -431,20 +375,63 @@ def _group_detections(raw, min_neighbors):
 
 
 def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, stride: int):
-    """Raw hits (x, y, ww, wh) of one scale in row-major order.
+    """Raw hits (x, y, ww, wh) of one scale's stride grid in row-major
+    order. The grid is nx x ny windows; grid position k is the window at
+    (k % nx * stride, k // nx * stride).
 
-    `_compile_scale` decides every window of the stride grid in array
-    passes; this loop then reads each verdict with exactly one
-    evaluate_window call per grid position, the count the benchmark's
-    window counter checks."""
-    scan = _compile_scale(model, integral, scale, ww, wh, stride)
+    The grid is decided in bands of whole grid rows, SCAN_BLOCK windows or
+    one row each, into a verdict of nx * ny bools. Each band keeps its live
+    windows as int32 grid positions. Every window of a band sees the norms
+    (`_inv_norms`) and the roots of the first stage's trees, so those read
+    the band's lattice of windows: the norms through their own sum and
+    squared-sum readers, the roots through one `lattice_sums` reader of
+    the sum table built for the band. Deeper nodes and later stages see
+    sparse live sets: they read through `_gathered_rect_sums` at the flat
+    bases of just those windows. A band runs the stages as array passes in
+    the scalar order: each tree's values (`_tree_values`) are summed from
+    zero in tree order, and a window leaves at the first stage whose total
+    is below the threshold. A nan total is not below it, so it passes, as
+    in the scalar oracle; huge weights overflow to inf and nan there too,
+    and print no warning.
+
+    A loop then reads the verdict with exactly one evaluate_window call
+    per grid position, the count the benchmark's window counter checks."""
     rows, row = integral.sum.shape
-    hits = []
-    for y in range(0, rows - wh, stride):
-        first = y * row
-        for base in range(first, first + row - ww, stride):
-            if evaluate_window(scan, base):
-                hits.append((base - first, y, ww, wh))
+    nx = len(range(0, row - ww, stride))
+    ny = len(range(0, rows - wh, stride))
+
+    def compile_node(node):
+        return [(r.weight, _scaled_rect(r, scale)) for r in node.rects], node
+
+    def windows(k):
+        # the rect-sum reader of the windows at grid positions k
+        return gather(integral, integral.corners(row, k % nx * stride, k // nx * stride, 0, 0)[0])
+
+    stages = [(s.threshold, [[compile_node(node) for node in t.nodes] for t in s.trees]) for s in model.stages]
+    verdict = np.zeros(nx * ny, dtype=bool)
+    band = max(1, SCAN_BLOCK // nx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top in range(0, ny, band):
+            nb = min(band, ny - top)
+            # the positions are made after the norms, and a stage's total
+            # from its first tree's values on, so neither is held while
+            # the norms' or the first tree's temporaries are
+            inv_norm = _inv_norms(integral, top * stride, nb, nx, stride, ww, wh)
+            k = np.arange(top * nx, (top + nb) * nx, dtype=np.int32)
+            root = lattice_sums(integral.sum, (0, top * stride), nb, nx, stride)
+            for threshold, trees in stages:
+                total = 0.0  # parse_cascade gives every stage a tree
+                for nodes in trees:
+                    f = _feature(nodes[0][0], root)
+                    total += _tree_values(nodes, f, lambda here: windows(k[here]), inv_norm)
+                live = np.flatnonzero(~(total < threshold))
+                k, inv_norm = k[live], inv_norm[live]
+                root = windows(k)
+            verdict[k] = True  # the windows left after every stage
+    scan, hits = memoryview(verdict), []
+    for k in range(nx * ny):
+        if evaluate_window(scan, k):
+            hits.append((k % nx * stride, k // nx * stride, ww, wh))
     return hits
 
 

@@ -391,9 +391,9 @@ class TestTrainEval:
         )
         assert code == 0
         data = gesture_net.load_dataset(tiny_dataset, "otsu", 128)
-        cm, acc = gesture_net.evaluate(zero_network(), data)
+        cm = gesture_net.evaluate(zero_network(), data)
         assert report.read_text() == cm.to_csv()
-        assert f"accuracy {acc:.4f}" in capsys.readouterr().out
+        assert f"accuracy {cm.accuracy:.4f}" in capsys.readouterr().out
 
 
 class TestDetectTrackRun:

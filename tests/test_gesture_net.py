@@ -201,25 +201,25 @@ class TestTrain:
 class TestEvaluate:
     def test_zero_network_predicts_class_zero(self):
         data = _toy_two_class_dataset()
-        cm, acc = evaluate(zero_network(), data)
+        cm = evaluate(zero_network(), data)
         assert cm.counts[:, 0].sum() == len(data)
-        assert acc == 0.5  # class 0 share
+        assert cm.accuracy == 0.5  # class 0 share
 
     def test_confusion_matrix_invariants(self):
         data = _toy_two_class_dataset()
-        cm, acc = evaluate(zero_network(), data)
+        cm = evaluate(zero_network(), data)
         assert cm.counts.sum() == len(data)
         assert np.all(cm.counts >= 0)
-        assert np.isclose(np.trace(cm.counts) / cm.counts.sum(), acc)
+        assert np.isclose(np.trace(cm.counts) / cm.counts.sum(), cm.accuracy)
         # row sums = class counts
         assert cm.counts[0].sum() == 50 and cm.counts[1].sum() == 50
 
     def test_order_invariance(self):
         data = _toy_two_class_dataset()
         net = build_network(6)
-        cm1, _ = evaluate(net, data)
+        cm1 = evaluate(net, data)
         shuffled = Dataset(list(reversed(data.samples)))
-        cm2, _ = evaluate(net, shuffled)
+        cm2 = evaluate(net, shuffled)
         assert np.array_equal(cm1.counts, cm2.counts)
 
     def test_csv_format(self):

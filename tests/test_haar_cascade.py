@@ -634,7 +634,8 @@ class TestScanExactness:
 
     @pytest.mark.parametrize("stride", [2, 3])
     def test_strided_grid_matches_oracle(self, stride):
-        # _compile_scale builds the bases of its own stride grid
+        # _scan_scale maps the grid positions of its own stride grid to
+        # flat bases
         passed, total = _scan_against_oracle((case[1:] for case in _cases(60, 24)), stride)
         assert 0.05 * total < passed < 0.95 * total
 
@@ -674,6 +675,24 @@ class TestScanExactness:
         finally:
             tracemalloc.stop()
         assert peak <= 2.75 * (height + 1) * (width + 1) * 8
+
+    def test_scan_peak_memory_is_sized_by_the_grid(self):
+        # scale 8 of 1280x960 is a 137 x 97 grid of 192 px windows at
+        # stride 8, 13,289 windows against 1,231,041 table entries: the
+        # verdict and every array of the band's passes are sized by the
+        # grid, so one scan traces under a byte per table entry (a verdict
+        # keyed by flat table index alone would be 1,231,041 bytes)
+        gray = Image(np.random.default_rng(0).integers(0, 256, size=(960, 1280), dtype=np.uint8))
+        table, model = integral_image(gray), scenes.brightness_cascade()
+        ww, wh = (8 * n for n in model.window)
+        assert (ww, wh) == (192, 192)
+        tracemalloc.start()
+        try:
+            haar_cascade._scan_scale(model, table, 8.0, ww, wh, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.sum.size
 
     def test_detections_match_oracle_detector_on_random_frames(self):
         hits = 0

@@ -301,7 +301,7 @@ class TestSumTableDtype:
 class TestLatticeSums:
     """`lattice_sums` is == `gathered_sums` at the flat index of every
     lattice point, on both tables, for each band of a window grid as
-    `haar_cascade._compile_scale` cuts it."""
+    `haar_cascade._scan_scale` cuts it."""
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_bands_match_gathered_sums(self, stride):
