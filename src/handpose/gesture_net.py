@@ -228,26 +228,28 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
     # every accuracy beats -1, so epoch 0 (epochs >= 1) sets best_state
     best_acc = -1.0
     lr = hyper.learning_rate
-    for epoch in range(hyper.epochs):
-        if epoch > 0 and epoch % DECAY_EVERY == 0:
-            lr *= LR_DECAY
-        order = rand.generator(hyper.seed, 1000 + epoch).permutation(len(xt))
-        losses = []
-        hits = 0
-        for i in range(0, len(order), hyper.batch_size):
-            sel = order[i : i + hyper.batch_size]
-            xb, yb = xt[sel], yt[sel]
-            logits = net.forward(xb)
-            loss, grad = softmax_xent_batch(logits, yb)
-            net.backward(grad)
-            sgd_step(net.params(), lr, hyper.momentum)
-            losses.append(loss)
-            hits += int((logits.argmax(axis=-1) == yb).sum())
-        val_acc = int((_predict_all(net, xv) == yv).sum()) / len(xv)
-        epochs_log.append((float(np.mean(losses)), hits / len(xt), val_acc))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_state = net.state()
+    # a diverging run overflows to inf and nan, which its losses show
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            if epoch > 0 and epoch % DECAY_EVERY == 0:
+                lr *= LR_DECAY
+            order = rand.generator(hyper.seed, 1000 + epoch).permutation(len(xt))
+            losses = []
+            hits = 0
+            for i in range(0, len(order), hyper.batch_size):
+                sel = order[i : i + hyper.batch_size]
+                xb, yb = xt[sel], yt[sel]
+                logits = net.forward(xb)
+                loss, grad = softmax_xent_batch(logits, yb)
+                net.backward(grad)
+                sgd_step(net.params(), lr, hyper.momentum)
+                losses.append(loss)
+                hits += int((logits.argmax(axis=-1) == yb).sum())
+            val_acc = int((_predict_all(net, xv) == yv).sum()) / len(xv)
+            epochs_log.append((float(np.mean(losses)), hits / len(xt), val_acc))
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_state = net.state()
     net.load_state(best_state)
     return TrainReport(epochs_log, best_acc)
 

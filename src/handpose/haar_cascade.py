@@ -2,7 +2,9 @@
 multi-scale sliding-window detector. Cascade training is out of scope;
 models come from files.
 
-XML grammar (children in any order, unknown elements are errors):
+XML grammar, written once as GRAMMAR (children in any order, unknown
+elements are errors, and an element that GRAMMAR does not list, such as
+<size> or <rect>, holds text only):
 
     <cascade>
       <size>W H</size>
@@ -87,17 +89,30 @@ class Detection:
     neighbors: int
 
 
-def _only_children(elem, allowed):
+# each element's children: (those that must appear exactly once, the
+# others it may hold); an element that is not listed holds text only
+GRAMMAR = {
+    "cascade": (("size", "stages"), ()),
+    "stages": ((), ("stage",)),
+    "stage": (("stage_threshold", "trees"), ()),
+    "trees": ((), ("tree",)),
+    "tree": ((), ("node",)),
+    "node": (("feature", "node_threshold"), ("left_val", "left_node", "right_val", "right_node")),
+    "feature": (("rects",), ()),
+    "rects": ((), ("rect",)),
+}
+
+
+def _check_grammar(elem):
+    """Check `elem` and every element under it against GRAMMAR."""
+    once, others = GRAMMAR.get(elem.tag, ((), ()))
     for child in elem:
-        if child.tag not in allowed:
+        if child.tag not in once and child.tag not in others:
             raise SchemaViolation(f"unexpected element <{child.tag}> inside <{elem.tag}>")
-
-
-def _get_one(elem, tag):
-    found = [c for c in elem if c.tag == tag]
-    if len(found) != 1:
-        raise SchemaViolation(f"<{elem.tag}> must contain exactly one <{tag}>")
-    return found[0]
+        _check_grammar(child)
+    for tag in once:
+        if len(elem.findall(tag)) != 1:
+            raise SchemaViolation(f"<{elem.tag}> must contain exactly one <{tag}>")
 
 
 def _finite(value: float, what: str) -> float:
@@ -124,17 +139,9 @@ def _child_index(elem, own, n_nodes, where) -> int:
     return idx
 
 
-def _parse_node(elem, own, n_nodes, where):
-    _only_children(
-        elem,
-        {"feature", "node_threshold", "left_val", "left_node", "right_val", "right_node"},
-    )
-    feature = _get_one(elem, "feature")
-    _only_children(feature, {"rects"})
-    rects_el = _get_one(feature, "rects")
-    _only_children(rects_el, {"rect"})
+def _parse_node(elem, own, n_nodes, window, where):
     rects = []
-    for r in rects_el:
+    for r in elem.find("feature").find("rects"):
         parts = (r.text or "").split()
         if len(parts) != 5:
             raise SchemaViolation(f"{where}: <rect> needs 'x y w h weight'")
@@ -143,16 +150,18 @@ def _parse_node(elem, own, n_nodes, where):
             weight = float(parts[4])
         except ValueError as exc:
             raise SchemaViolation(f"{where}: malformed <rect> {r.text!r}") from exc
+        if x < 0 or y < 0 or w <= 0 or h <= 0 or x + w > window[0] or y + h > window[1]:
+            raise RectOutOfWindow(f"{where}: rect ({x},{y},{w},{h}) outside {window[0]}x{window[1]} window")
         rects.append(WeightedRect(x, y, w, h, _finite(weight, f"{where}: rect weight")))
     if len(rects) < 2:
         raise SchemaViolation(f"{where}: feature needs at least 2 rects")
     weights = [r.weight for r in rects]
     if not (any(w < 0 for w in weights) and any(w > 0 for w in weights)):
         raise SchemaViolation(f"{where}: feature needs positive and negative rect weights")
-    node = TreeNode(rects, _float(_get_one(elem, "node_threshold")))
+    node = TreeNode(rects, _float(elem.find("node_threshold")))
     for side in ("left", "right"):
-        vals = [c for c in elem if c.tag == f"{side}_val"]
-        children = [c for c in elem if c.tag == f"{side}_node"]
+        vals = elem.findall(f"{side}_val")
+        children = elem.findall(f"{side}_node")
         if len(vals) + len(children) != 1:
             raise SchemaViolation(f"{where}: node needs exactly one {side}_val or {side}_node")
         if vals:
@@ -169,47 +178,34 @@ def parse_cascade(doc: str) -> CascadeModel:
         raise HandposeError(str(exc)) from exc
     if root.tag != "cascade":
         raise SchemaViolation(f"root must be <cascade>, got <{root.tag}>")
-    _only_children(root, {"size", "stages"})
-    size_parts = (_get_one(root, "size").text or "").split()
+    _check_grammar(root)
+    size_parts = (root.find("size").text or "").split()
     if len(size_parts) != 2:
         raise SchemaViolation("<size> needs 'W H'")
     try:
-        win_w, win_h = int(size_parts[0]), int(size_parts[1])
+        window = int(size_parts[0]), int(size_parts[1])
     except ValueError as exc:
         raise SchemaViolation("<size> entries must be integers") from exc
-    if win_w <= 0 or win_h <= 0:
+    if window[0] <= 0 or window[1] <= 0:
         raise SchemaViolation("window size must be positive")
-    stages_el = _get_one(root, "stages")
-    _only_children(stages_el, {"stage"})
     stages = []
-    for si, stage_el in enumerate(stages_el):
-        _only_children(stage_el, {"stage_threshold", "trees"})
-        trees_el = _get_one(stage_el, "trees")
-        _only_children(trees_el, {"tree"})
+    for si, stage_el in enumerate(root.find("stages")):
         trees = []
-        for ti, tree_el in enumerate(trees_el):
-            _only_children(tree_el, {"node"})
+        for ti, tree_el in enumerate(stage_el.find("trees")):
             node_els = list(tree_el)
             if not node_els:
                 raise SchemaViolation(f"stage {si} tree {ti}: tree needs at least one node")
             nodes = [
-                _parse_node(n, ni, len(node_els), f"stage {si} tree {ti} node {ni}")
+                _parse_node(n, ni, len(node_els), window, f"stage {si} tree {ti} node {ni}")
                 for ni, n in enumerate(node_els)
             ]
-            for ni, node in enumerate(nodes):
-                for r in node.rects:
-                    if r.x < 0 or r.y < 0 or r.w <= 0 or r.h <= 0 or r.x + r.w > win_w or r.y + r.h > win_h:
-                        raise RectOutOfWindow(
-                            f"stage {si} tree {ti} node {ni}: rect "
-                            f"({r.x},{r.y},{r.w},{r.h}) outside {win_w}x{win_h} window"
-                        )
             trees.append(Tree(nodes))
         if not trees:
             raise SchemaViolation(f"stage {si} has no trees")
-        stages.append(Stage(_float(_get_one(stage_el, "stage_threshold")), trees))
+        stages.append(Stage(_float(stage_el.find("stage_threshold")), trees))
     if not stages:
         raise SchemaViolation("cascade has no stages")
-    return CascadeModel((win_w, win_h), stages)
+    return CascadeModel(window, stages)
 
 
 def serialize_cascade(model: CascadeModel) -> str:
@@ -268,35 +264,35 @@ SCAN_BLOCK = 16384
 GROUP_BLOCK = 16
 
 
-def _inv_norms(integral, oy: int, ny: int, nx: int, stride: int, ww: int, wh: int) -> np.ndarray:
-    """1 / (area * sigma) of the ww x wh windows at the points of the
-    ny x nx lattice of one band (first row at table row `oy`), row-major,
-    read through one `lattice_sums` reader of each of the sum and squared
-    tables. sigma is the windowed stddev clamped below at 1, in the scalar
-    order: mean = S / area, var = Q / area - mean * mean,
+def _inv_norms(sums, sqsums, ww: int, wh: int) -> np.ndarray:
+    """1 / (area * sigma) of the ww x wh windows at the points of one
+    band's lattice, row-major, read through its `lattice_sums` readers
+    `sums` and `sqsums` of the sum and squared tables. sigma is the
+    windowed stddev clamped below at 1, in the scalar order:
+    mean = S / area, var = Q / area - mean * mean,
     sigma = sqrt(max(var, 1)), 1.0 / (area * sigma). The box
     sums S and Q are exact integers below 2**53, so they convert to float64
     exactly, and every op is correctly rounded, as Python's int / int and
     math.sqrt are: each value is bit for bit the scalar one."""
     area = ww * wh
-    mean = lattice_sums(integral.sum, (0, oy), ny, nx, stride)(0, 0, ww, wh).ravel() / area
-    var = lattice_sums(integral.sqsum, (0, oy), ny, nx, stride)(0, 0, ww, wh).ravel() / area
+    mean = sums(0, 0, ww, wh).ravel() / area
+    var = sqsums(0, 0, ww, wh).ravel() / area
     var -= mean * mean
     # sqrt is monotone and sqrt(1) == 1: sqrt(var) where var > 1, else 1
     return 1.0 / (area * np.sqrt(np.maximum(var, 1.0)))
 
 
-def _feature(rects, sums):
+def _feature(node, sums, scale):
     """A node's feature before normalization at each window, row-major:
-    weight * sums(rect) added to 0.0 in rect order, as in the scalar
-    oracle (`tests/helpers.py`)."""
+    weight * sums(rect scaled by `scale`) added to 0.0 in rect order, as
+    in the scalar oracle (`tests/helpers.py`)."""
     f = 0.0
-    for weight, rect in rects:
-        f += weight * sums(*rect).ravel()  # the first add makes f an array
+    for r in node.rects:
+        f += r.weight * sums(*_scaled_rect(r, scale)).ravel()  # the first add makes f an array
     return f
 
 
-def _tree_values(nodes, f, read, inv_norm):
+def _tree_values(nodes, f, read, inv_norm, scale):
     """The leaf value each window reaches in one tree, given `f`, the
     root's `_feature` at every window (scaled in place); `read(here)` is
     the rect-sum reader of the windows at positions `here`, which the
@@ -310,10 +306,10 @@ def _tree_values(nodes, f, read, inv_norm):
     correctly rounded: every value is bit for bit the scalar one."""
     value = np.empty(len(inv_norm))
     at = np.zeros(len(inv_norm), np.intp)  # the node each window has reached
-    for i, (rects, node) in enumerate(nodes):
+    for i, node in enumerate(nodes):
         if i:
             here = np.flatnonzero(at == i)
-            f = _feature(rects, read(here))
+            f = _feature(node, read(here), scale)
         f *= inv_norm[here] if i else inv_norm
         left = f < node.threshold
         for side, val, child in ((left, node.left_val, node.left_child), (~left, node.right_val, node.right_child)):
@@ -331,9 +327,9 @@ def evaluate_window(scan: memoryview, k: int) -> bool:
 
     `_scan_scale` calls this once per grid position: it is the seam the
     benchmark's window counter (`perfbench/check_geometry.py`) wraps. The
-    loop of calls is about three fifths of a 160x120 scan (3.8 of 6.4 ms,
-    best of 30, wall, 2-CPU x86-64 Xeon), and can go once the counter
-    reads `_scan_scale`'s grids instead."""
+    loop of calls is about three fifths of a 160x120 search frame's scan
+    (4.0 of 6.4 ms, best of 30, wall, 2-CPU x86-64 Xeon), and can go once
+    the counter reads `_scan_scale`'s grids instead."""
     return scan[k]
 
 
@@ -383,16 +379,16 @@ def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, s
     one row each, into a verdict of nx * ny bools. Each band keeps its live
     windows as int32 grid positions. Every window of a band sees the norms
     (`_inv_norms`) and the roots of the first stage's trees, so those read
-    the band's lattice of windows: the norms through their own sum and
-    squared-sum readers, the roots through one `lattice_sums` reader of
-    the sum table built for the band. Deeper nodes and later stages see
-    sparse live sets: they read through `_gathered_rect_sums` at the flat
-    bases of just those windows. A band runs the stages as array passes in
-    the scalar order: each tree's values (`_tree_values`) are summed from
-    zero in tree order, and a window leaves at the first stage whose total
-    is below the threshold. A nan total is not below it, so it passes, as
-    in the scalar oracle; huge weights overflow to inf and nan there too,
-    and print no warning.
+    the band's lattice of windows through one `lattice_sums` reader of
+    each table, built for the band and shared. Deeper nodes and later
+    stages see sparse live sets: they read through `_gathered_rect_sums`
+    at the top-left corners of just those windows. Each rect is scaled as
+    it is read. A band runs the stages of `model` as parsed, as array
+    passes in the scalar order: each tree's values (`_tree_values`) are
+    summed from zero in tree order, and a window leaves at the first stage
+    whose total is below the threshold. A nan total is not below it, so it
+    passes, as in the scalar oracle; huge weights overflow to inf and nan
+    there too, and print no warning.
 
     A loop then reads the verdict with exactly one evaluate_window call
     per grid position, the count the benchmark's window counter checks."""
@@ -400,33 +396,30 @@ def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, s
     nx = len(range(0, row - ww, stride))
     ny = len(range(0, rows - wh, stride))
 
-    def compile_node(node):
-        return [(r.weight, _scaled_rect(r, scale)) for r in node.rects], node
-
     def windows(k):
         # the rect-sum reader of the windows at grid positions k
-        return gather(integral, integral.corners(row, k % nx * stride, k // nx * stride, 0, 0)[0])
+        return gather(integral, k % nx * stride, k // nx * stride)
 
-    stages = [(s.threshold, [[compile_node(node) for node in t.nodes] for t in s.trees]) for s in model.stages]
     verdict = np.zeros(nx * ny, dtype=bool)
     band = max(1, SCAN_BLOCK // nx)
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(0, ny, band):
             nb = min(band, ny - top)
+            sums = lattice_sums(integral.sum, (0, top * stride), nb, nx, stride)
+            sqsums = lattice_sums(integral.sqsum, (0, top * stride), nb, nx, stride)
             # the positions are made after the norms, and a stage's total
             # from its first tree's values on, so neither is held while
             # the norms' or the first tree's temporaries are
-            inv_norm = _inv_norms(integral, top * stride, nb, nx, stride, ww, wh)
+            inv_norm = _inv_norms(sums, sqsums, ww, wh)
             k = np.arange(top * nx, (top + nb) * nx, dtype=np.int32)
-            root = lattice_sums(integral.sum, (0, top * stride), nb, nx, stride)
-            for threshold, trees in stages:
+            for stage in model.stages:
                 total = 0.0  # parse_cascade gives every stage a tree
-                for nodes in trees:
-                    f = _feature(nodes[0][0], root)
-                    total += _tree_values(nodes, f, lambda here: windows(k[here]), inv_norm)
-                live = np.flatnonzero(~(total < threshold))
+                for tree in stage.trees:
+                    f = _feature(tree.nodes[0], sums, scale)
+                    total += _tree_values(tree.nodes, f, lambda here: windows(k[here]), inv_norm, scale)
+                live = np.flatnonzero(~(total < stage.threshold))
                 k, inv_norm = k[live], inv_norm[live]
-                root = windows(k)
+                sums = windows(k)
             verdict[k] = True  # the windows left after every stage
     scan, hits = memoryview(verdict), []
     for k in range(nx * ny):

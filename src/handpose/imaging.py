@@ -126,8 +126,7 @@ class IntegralTable:
                 return _block_rect_sums(self, locs, lo, span)
             if (size[0] + 1) * (size[1] + 1) <= 4 * reads:
                 return _patch_rect_sums(self, locs, size)
-        base, *_ = self.corners(self.sum.shape[1], xs, ys, 0, 0)  # each location's flat index
-        return _gathered_rect_sums(self, base)
+        return _gathered_rect_sums(self, xs, ys)
 
 
 def gathered_sums(table: np.ndarray, corners) -> np.ndarray:
@@ -173,11 +172,12 @@ def lattice_sums(table: np.ndarray, origin, ny: int, nx: int, stride: int):
     return rect_sums
 
 
-def _gathered_rect_sums(table: IntegralTable, base: np.ndarray):
-    """Rect-sum reader at the n flat indices `base` of the raveled sum
-    table: `gathered_sums` of an int rect (n,), or of int arrays of c
-    rects (c, n), each corner at its offset from every base."""
+def _gathered_rect_sums(table: IntegralTable, xs: np.ndarray, ys: np.ndarray):
+    """Rect-sum reader at the n locations (xs, ys) of the sum table:
+    `gathered_sums` of an int rect (n,), or of int arrays of c rects
+    (c, n), each corner at its offset from every location's flat index."""
     flat, row = table.sum.ravel(), table.sum.shape[1]
+    base, *_ = table.corners(row, xs, ys, 0, 0)
 
     def rect_sums(x, y, w, h):
         return gathered_sums(flat, [base + np.asarray(c)[..., None] for c in table.corners(row, x, y, w, h)])

@@ -62,7 +62,11 @@ class SkinModel:
                 intervals[i, j] = bound
         if tokens[18] != "alpha":
             raise HandposeError("missing alpha line")
-        return SkinModel(intervals, float(tokens[19]))
+        try:
+            alpha = float(tokens[19])
+        except ValueError:
+            raise HandposeError(f"alpha {tokens[19]!r} is not a number") from None
+        return SkinModel(intervals, alpha)
 
 
 @dataclass

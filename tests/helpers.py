@@ -123,8 +123,7 @@ def forced_reader(name):
             return imaging._block_rect_sums(table, locs, lo, span)
         if name == "_patch_rect_sums":
             return imaging._patch_rect_sums(table, locs, size)
-        base, *_ = table.corners(table.sum.shape[1], locs[:, 0], locs[:, 1], 0, 0)
-        return imaging._gathered_rect_sums(table, base)
+        return imaging._gathered_rect_sums(table, locs[:, 0], locs[:, 1])
 
     return rect_sums
 

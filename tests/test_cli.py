@@ -384,6 +384,20 @@ class TestTrainEval:
         net = gesture_net.load_weights(out.read_bytes())
         assert net.forward(np.zeros((1, 1, 48, 48), dtype=np.float32)).shape == (1, 10)
 
+    def test_diverging_training_prints_no_warning(self, capsys, tmp_path):
+        # learning rate 1e30 overflows the dense layers to inf and nan on
+        # nine random PGMs of 3 classes; the losses show it, stderr stays empty
+        rng = np.random.default_rng(0)
+        for label in range(3):
+            sub = tmp_path / "data" / str(label)
+            sub.mkdir(parents=True)
+            for i in range(3):
+                sub.joinpath(f"{i}.pgm").write_bytes(save_pnm(Image(rng.integers(0, 256, (48, 48), dtype=np.uint8))))
+        argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "w.hgw"), "--lr", "1e30"]
+        assert main(argv + ["--epochs", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert "loss nan" in out and err == ""
+
     def test_eval_csv_matches_library(self, capsys, tiny_dataset, zero_weights, tmp_path):
         report = tmp_path / "cm.csv"
         code = main(

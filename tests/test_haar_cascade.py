@@ -21,7 +21,7 @@ from handpose.haar_cascade import (
     parse_cascade,
     serialize_cascade,
 )
-from handpose.imaging import Image, IntegralTable, integral_image, luma
+from handpose.imaging import Image, IntegralTable, integral_image, lattice_sums, luma
 
 from helpers import (
     detect_multiscale_oracle,
@@ -116,6 +116,18 @@ class TestParse:
     def test_unknown_element_rejected(self):
         doc = MINIMAL_XML.replace("<size>20 20</size>", "<size>20 20</size><extra>1</extra>")
         with pytest.raises(SchemaViolation):
+            parse_cascade(doc)
+
+    @pytest.mark.parametrize(
+        "leaf",
+        ["size", "stage_threshold", "node_threshold", "rect", "left_val", "right_val", "left_node", "right_node"],
+    )
+    def test_leaf_element_holds_text_only(self, leaf):
+        tree = _depth_two_tree(rand.generator(59, 0), 8)
+        doc = serialize_cascade(CascadeModel((8, 8), [Stage(0.5, [tree])]))
+        assert f"</{leaf}>" in doc
+        doc = doc.replace(f"</{leaf}>", f"<junk/></{leaf}>", 1)
+        with pytest.raises(SchemaViolation, match=f"unexpected element <junk> inside <{leaf}>"):
             parse_cascade(doc)
 
     def test_xml_syntax_error(self):
@@ -752,6 +764,13 @@ WINDOW_NORM_FRAMES = {
 }
 
 
+def inv_norms(table, oy, ny, nx, stride, ww, wh):
+    """`_inv_norms` over the ny x nx lattice of a band whose first row is
+    table row `oy`, through one `lattice_sums` reader of each table."""
+    sums, sqsums = (lattice_sums(t, (0, oy), ny, nx, stride) for t in (table.sum, table.sqsum))
+    return haar_cascade._inv_norms(sums, sqsums, ww, wh)
+
+
 class TestWindowNorms:
     """`_inv_norms` is == the scalar normalization of every window."""
 
@@ -771,7 +790,7 @@ class TestWindowNorms:
                 ny = len(range(0, gray.height - wh + 1, stride))
                 bands = [(0, ny)] + [(ny // 2, ny - ny // 2)] * (stride == 1)
                 for top, nb in bands:
-                    norms = haar_cascade._inv_norms(table, top * stride, nb, nx, stride, ww, wh)
+                    norms = inv_norms(table, top * stride, nb, nx, stride, ww, wh)
                     assert norms.shape == (nb * nx,) and norms.dtype == np.float64
                     for i in range(nb):
                         for j in range(nx):
@@ -782,7 +801,7 @@ class TestWindowNorms:
         # the sigma clamp's edge: var == 1 exactly at every 4x4 window
         table = integral_image(WINDOW_NORM_FRAMES["two-level-var-1"])
         assert rect_sqsum(table, 3, 2, 4, 4) / 16 - (table.rect_sum(3, 2, 4, 4) / 16) ** 2 == 1.0
-        assert (haar_cascade._inv_norms(table, 0, 18, 23, 1, 4, 4) == 1 / 16).all()
+        assert (inv_norms(table, 0, 18, 23, 1, 4, 4) == 1 / 16).all()
 
     def test_cut_tables_of_one_position(self):
         # helpers.evaluate_at scans tables cut to one window, which are
@@ -797,7 +816,7 @@ class TestWindowNorms:
                 for x in range(0, gray.width - ww + 1, 3):
                     cut = (slice(y, y + wh + 1), slice(x, x + ww + 1))
                     one = IntegralTable(table.sum[cut], table.sqsum[cut])
-                    norms = haar_cascade._inv_norms(one, 0, 1, 1, 1, ww, wh)
+                    norms = inv_norms(one, 0, 1, 1, 1, ww, wh)
                     assert norms.tolist() == [inv_norm_oracle(model, table, (x, y, scale))]
 
     def test_detect_peak_memory_is_in_place(self):

@@ -60,6 +60,11 @@ class TestFitSkinModel:
         assert np.array_equal(model.intervals, clone.intervals)
         assert model.alpha == clone.alpha
 
+    def test_non_numeric_alpha_names_alpha(self):
+        text = full_range_model().to_text().replace("alpha 0.0", "alpha x")
+        with pytest.raises(HandposeError, match="alpha 'x' is not a number"):
+            SkinModel.from_text(text)
+
 
 class TestClassifyPixels:
     def test_full_range_all_skin(self):
