@@ -212,10 +212,14 @@ def _predict_all(net: Network, x: np.ndarray) -> np.ndarray:
     return pred
 
 
+def _finite(p) -> bool:
+    return bool(np.isfinite(p.w).all() and np.isfinite(p.b).all())
+
+
 def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> TrainReport:
     """Minibatch momentum SGD with a stratified split and seeded shuffles.
 
-    Keeps the best-validation weights; deterministic for a fixed seed.
+    Keeps the finite best-validation weights; deterministic for a fixed seed.
     """
     if not 0 < split < 1:
         raise HandposeError("split must lie in (0, 1)")
@@ -225,7 +229,8 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
         raise HandposeError("validation split is empty: at least one class needs 2 or more images")
     xt, yt, xv, yv = x[tr], y[tr], x[va], y[va]
     epochs_log = []
-    # every accuracy beats -1, so epoch 0 (epochs >= 1) sets best_state
+    # every accuracy beats -1, so epoch 0 (epochs >= 1) sets best_state or,
+    # if its weights are non-finite (sgd_step keeps them so), raises
     best_acc = -1.0
     lr = hyper.learning_rate
     # a diverging run overflows to inf and nan, which its losses show
@@ -247,7 +252,10 @@ def train(net: Network, data: Dataset, hyper: Hyper, split: float = 0.8) -> Trai
                 hits += int((logits.argmax(axis=-1) == yb).sum())
             val_acc = int((_predict_all(net, xv) == yv).sum()) / len(xv)
             epochs_log.append((float(np.mean(losses)), hits / len(xt), val_acc))
-            if val_acc > best_acc:
+            if not all(map(_finite, net.params())):
+                if best_acc < 0:
+                    raise HandposeError(f"training at learning rate {lr:g} diverged in epoch {epoch + 1}")
+            elif val_acc > best_acc:
                 best_acc = val_acc
                 best_state = net.state()
     net.load_state(best_state)
@@ -289,7 +297,7 @@ _KIND_CODES = {"conv": 1, "dense": 2}
 
 
 def _require_finite(p):
-    if not (np.isfinite(p.w).all() and np.isfinite(p.b).all()):
+    if not _finite(p):
         raise HandposeError(f"non-finite {p.kind} layer parameters")
 
 

@@ -23,7 +23,7 @@ elements are errors, and an element that GRAMMAR does not list, such as
                 <left_val>F</left_val>   | <left_node>I</left_node>
                 <right_val>F</right_val> | <right_node>I</right_node>
               </node>
-              (more nodes for depth-2 trees; node 0 is the root)
+              (more nodes for deeper trees; node 0 is the root)
               (a child index I is an integer with own index < I < node
                count, so every path ends at a leaf value)
               (every F, rect weights included, is a finite float)
@@ -292,33 +292,28 @@ def _feature(node, sums, scale):
     return f
 
 
-def _tree_values(nodes, f, read, inv_norm, scale):
-    """The leaf value each window reaches in one tree, given `f`, the
-    root's `_feature` at every window (scaled in place); `read(here)` is
-    the rect-sum reader of the windows at positions `here`, which the
-    deeper nodes use.
+def _tree_values(nodes, sums, inv_norm, scale):
+    """The leaf value each window reaches in one tree, read through the
+    stage's rect-sum reader `sums` of the windows whose norms are
+    `inv_norm`.
 
-    Each node's windows are routed at once, nodes in index order: a child's
-    index is above its parent's, so every window reaches each of its nodes
-    after the one that sends it there. A feature is multiplied by the
-    window's `inv_norm`, as in the scalar oracle. The sums are exact
+    Every node is read at every window of the stage, last node first: a
+    child's index is above its parent's, so a node's children are done
+    before it. Its `_feature` times the window's `inv_norm`, as in the
+    scalar oracle, takes the value of the node's left side where it is
+    below the node's threshold and of its right side elsewhere, a side
+    being a leaf value or the values of the child node. So each window
+    keeps the leaf value that its scalar walk reaches. The sums are exact
     integers below 2**53, so they convert to float exactly, and each op is
-    correctly rounded: every value is bit for bit the scalar one."""
-    value = np.empty(len(inv_norm))
-    at = np.zeros(len(inv_norm), np.intp)  # the node each window has reached
-    for i, node in enumerate(nodes):
-        if i:
-            here = np.flatnonzero(at == i)
-            f = _feature(node, read(here), scale)
-        f *= inv_norm[here] if i else inv_norm
-        left = f < node.threshold
-        for side, val, child in ((left, node.left_val, node.left_child), (~left, node.right_val, node.right_child)):
-            where = here[side] if i else side
-            if val is None:
-                at[where] = child
-            else:
-                value[where] = val
-    return value
+    correctly rounded: every feature is bit for bit the scalar one."""
+    values = [None] * len(nodes)
+    for i, node in reversed(list(enumerate(nodes))):
+        f = _feature(node, sums, scale)
+        f *= inv_norm
+        left = values[node.left_child] if node.left_val is None else node.left_val
+        right = values[node.right_child] if node.right_val is None else node.right_val
+        values[i] = np.where(f < node.threshold, left, right)
+    return values[0]
 
 
 def evaluate_window(scan: memoryview, k: int) -> bool:
@@ -327,8 +322,8 @@ def evaluate_window(scan: memoryview, k: int) -> bool:
 
     `_scan_scale` calls this once per grid position: it is the seam the
     benchmark's window counter (`perfbench/check_geometry.py`) wraps. The
-    loop of calls is about three fifths of a 160x120 search frame's scan
-    (4.0 of 6.4 ms, best of 30, wall, 2-CPU x86-64 Xeon), and can go once
+    loop of calls is about two thirds of a 160x120 search frame's scan
+    (3.8 of 5.9 ms, best of 30, wall, 2-CPU x86-64 Xeon), and can go once
     the counter reads `_scan_scale`'s grids instead."""
     return scan[k]
 
@@ -378,27 +373,23 @@ def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, s
     The grid is decided in bands of whole grid rows, SCAN_BLOCK windows or
     one row each, into a verdict of nx * ny bools. Each band keeps its live
     windows as int32 grid positions. Every window of a band sees the norms
-    (`_inv_norms`) and the roots of the first stage's trees, so those read
-    the band's lattice of windows through one `lattice_sums` reader of
-    each table, built for the band and shared. Deeper nodes and later
-    stages see sparse live sets: they read through `_gathered_rect_sums`
-    at the top-left corners of just those windows. Each rect is scaled as
-    it is read. A band runs the stages of `model` as parsed, as array
-    passes in the scalar order: each tree's values (`_tree_values`) are
-    summed from zero in tree order, and a window leaves at the first stage
-    whose total is below the threshold. A nan total is not below it, so it
-    passes, as in the scalar oracle; huge weights overflow to inf and nan
-    there too, and print no warning.
+    (`_inv_norms`) and the first stage, so those read the band's lattice of
+    windows through one `lattice_sums` reader of each table, built for the
+    band. Each later stage sees the band's live set only: at its top, one
+    `_gathered_rect_sums` reader is built at the top-left corners of just
+    those windows, and every node of the stage reads through it. Each rect
+    is scaled as it is read. A band runs the stages of `model` as parsed,
+    as array passes in the scalar order: each tree's values
+    (`_tree_values`) are summed from zero in tree order, and a window
+    leaves at the first stage whose total is below the threshold. A nan
+    total is not below it, so it passes, as in the scalar oracle; huge
+    weights overflow to inf and nan there too, and print no warning.
 
     A loop then reads the verdict with exactly one evaluate_window call
     per grid position, the count the benchmark's window counter checks."""
     rows, row = integral.sum.shape
     nx = len(range(0, row - ww, stride))
     ny = len(range(0, rows - wh, stride))
-
-    def windows(k):
-        # the rect-sum reader of the windows at grid positions k
-        return gather(integral, k % nx * stride, k // nx * stride)
 
     verdict = np.zeros(nx * ny, dtype=bool)
     band = max(1, SCAN_BLOCK // nx)
@@ -412,14 +403,14 @@ def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, s
             # the norms' or the first tree's temporaries are
             inv_norm = _inv_norms(sums, sqsums, ww, wh)
             k = np.arange(top * nx, (top + nb) * nx, dtype=np.int32)
-            for stage in model.stages:
+            for s, stage in enumerate(model.stages):
+                if s:  # the rect-sum reader of the windows still live
+                    sums = gather(integral, k % nx * stride, k // nx * stride)
                 total = 0.0  # parse_cascade gives every stage a tree
                 for tree in stage.trees:
-                    f = _feature(tree.nodes[0], sums, scale)
-                    total += _tree_values(tree.nodes, f, lambda here: windows(k[here]), inv_norm, scale)
+                    total += _tree_values(tree.nodes, sums, inv_norm, scale)
                 live = np.flatnonzero(~(total < stage.threshold))
                 k, inv_norm = k[live], inv_norm[live]
-                sums = windows(k)
             verdict[k] = True  # the windows left after every stage
     scan, hits = memoryview(verdict), []
     for k in range(nx * ny):

@@ -52,6 +52,19 @@ def tiny_dataset(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def random_pgms(tmp_path_factory):
+    """Nine random 48x48 PGMs, three in each of classes 0-2."""
+    root = tmp_path_factory.mktemp("random_pgms")
+    rng = np.random.default_rng(0)
+    for label in range(3):
+        sub = root / str(label)
+        sub.mkdir()
+        for i in range(3):
+            sub.joinpath(f"{i}.pgm").write_bytes(save_pnm(Image(rng.integers(0, 256, (48, 48), dtype=np.uint8))))
+    return root
+
+
+@pytest.fixture(scope="module")
 def session_assets(tmp_path_factory, zero_weights):
     root = tmp_path_factory.mktemp("session")
     skin = root / "skin.txt"
@@ -384,19 +397,23 @@ class TestTrainEval:
         net = gesture_net.load_weights(out.read_bytes())
         assert net.forward(np.zeros((1, 1, 48, 48), dtype=np.float32)).shape == (1, 10)
 
-    def test_diverging_training_prints_no_warning(self, capsys, tmp_path):
+    def test_diverging_training_prints_no_warning(self, capsys, random_pgms, tmp_path):
         # learning rate 1e30 overflows the dense layers to inf and nan on
         # nine random PGMs of 3 classes; the losses show it, stderr stays empty
-        rng = np.random.default_rng(0)
-        for label in range(3):
-            sub = tmp_path / "data" / str(label)
-            sub.mkdir(parents=True)
-            for i in range(3):
-                sub.joinpath(f"{i}.pgm").write_bytes(save_pnm(Image(rng.integers(0, 256, (48, 48), dtype=np.uint8))))
-        argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "w.hgw"), "--lr", "1e30"]
+        argv = ["train", "--data", str(random_pgms), "--out", str(tmp_path / "w.hgw"), "--lr", "1e30"]
         assert main(argv + ["--epochs", "2"]) == 0
         out, err = capsys.readouterr()
         assert "loss nan" in out and err == ""
+
+    def test_training_without_a_finite_epoch_fails(self, capsys, random_pgms, tmp_path):
+        # learning rate 1e300 leaves non-finite weights after epoch 1 on
+        # nine random PGMs of 3 classes: one error names the learning rate,
+        # and no weight file is written
+        argv = ["train", "--data", str(random_pgms), "--out", str(tmp_path / "w.hgw"), "--lr", "1e300"]
+        assert main(argv + ["--epochs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: training at learning rate 1e+300 diverged in epoch 1\n"
+        assert not (tmp_path / "w.hgw").exists()
 
     def test_eval_csv_matches_library(self, capsys, tiny_dataset, zero_weights, tmp_path):
         report = tmp_path / "cm.csv"

@@ -188,6 +188,13 @@ class TestTrain:
         report = train(net, data, hyper)
         assert report.best_val_acc == 1.0
 
+    def test_diverging_first_epoch_raises(self):
+        # lr 1e300 leaves non-finite weights after epoch 1, and sgd_step
+        # keeps them non-finite: no epoch has a state to keep
+        hyper = Hyper(learning_rate=1e300, momentum=0.9, batch_size=16, epochs=2, seed=6)
+        with pytest.raises(HandposeError, match=r"^training at learning rate 1e\+300 diverged in epoch 1$"):
+            train(build_network(6), _toy_two_class_dataset(), hyper)
+
     def test_deterministic_report(self):
         data = _toy_two_class_dataset()
         hyper = Hyper(learning_rate=0.01, momentum=0.9, batch_size=16, epochs=2, seed=5)

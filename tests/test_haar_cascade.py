@@ -508,32 +508,36 @@ def _random_node(rng, win_w, win_h, **branches):
     return TreeNode(rects, threshold=float(rng.normal(0.0, 0.2)), **branches)
 
 
-def _random_cascade(rng, win_w, win_h, deep_first=0):
+def _random_cascade(rng, win_w, win_h, deep_first=0, depth=None):
     """1-3 stages of 1-3 trees, each a stump or a depth-2 tree, with
     arbitrary float leaves and thresholds; with `deep_first`, the first
-    stage holds that many depth-2 trees instead."""
+    stage holds that many depth-2 trees instead; with `depth`, every tree
+    is a full tree of that many levels."""
 
     def leaves():
         # magnitudes apart by up to 1e4, so a sum's rounding depends on its order
         return {side: float(rng.normal() * 10 ** rng.uniform(-2, 2)) for side in ("left_val", "right_val")}
 
-    def tree(stump):
-        if stump:
-            return Tree([_random_node(rng, win_w, win_h, **leaves())])
+    def tree(levels):
+        # node i splits to nodes 2i+1 and 2i+2, down to leaf nodes on the last level
+        inner = 2 ** (levels - 1) - 1
         return Tree(
             [
-                _random_node(rng, win_w, win_h, left_child=1, right_child=2),
-                _random_node(rng, win_w, win_h, **leaves()),
-                _random_node(rng, win_w, win_h, **leaves()),
+                _random_node(rng, win_w, win_h, left_child=2 * i + 1, right_child=2 * i + 2)
+                if i < inner
+                else _random_node(rng, win_w, win_h, **leaves())
+                for i in range(2 * inner + 1)
             ]
         )
 
     stages = []
     for i in range(int(rng.integers(1, 4))):
         if i == 0 and deep_first:
-            trees = [tree(False) for _ in range(deep_first)]
+            trees = [tree(2) for _ in range(deep_first)]
+        elif depth:
+            trees = [tree(depth) for _ in range(int(rng.integers(1, 4)))]
         else:
-            trees = [tree(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 4)))]
+            trees = [tree(2 - int(rng.integers(0, 2))) for _ in range(int(rng.integers(1, 4)))]
         stages.append(Stage(float(rng.uniform(-0.6, 0.6)) * len(trees), trees))
     return CascadeModel((win_w, win_h), stages)
 
@@ -580,11 +584,11 @@ def _calibrate(rng, model, gray, scale_factor):
         stage.threshold = stage_total_oracle(stage, table, win, inv_norm)
 
 
-def _cases(seed, count, deep_first=0):
+def _cases(seed, count, deep_first=0, depth=None):
     rng = rand.generator(seed, 0)
     for i in range(count):
         win_w, win_h = int(rng.integers(5, 11)), int(rng.integers(5, 11))
-        model = _random_cascade(rng, win_w, win_h, deep_first)
+        model = _random_cascade(rng, win_w, win_h, deep_first, depth)
         kind = ("textured", "textured", "near-flat", "flat")[i % 4]
         gray = _random_frame(rng, kind, int(rng.integers(win_w, 40)), int(rng.integers(win_h, 32)))
         scale_factor = float(rng.uniform(1.05, 1.25))
@@ -654,10 +658,10 @@ class TestScanExactness:
     @pytest.mark.parametrize("block", [None, 30])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_deep_first_stage_matches_oracle(self, monkeypatch, stride, block):
-        # every first-stage tree has depth 2: its root reads the band's
-        # lattice, its children gather at the bases of the windows routed
-        # to them; bands of 30 windows start mid-grid, so those bases are
-        # offset by the band's first row
+        # every first-stage tree has depth 2, and all its nodes read the
+        # band's lattice; later stages gather at the bases of the live
+        # windows, and bands of 30 windows start mid-grid, so those bases
+        # are offset by the band's first row
         if block:
             monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", block)
         passed, total = _scan_against_oracle((case[1:] for case in _cases(65, 16, deep_first=3)), stride)
@@ -719,6 +723,22 @@ class TestScanExactness:
             hits += sum(d.neighbors for d in got)
         assert hits > 0
 
+    @pytest.mark.parametrize("step_fraction", [1.0, 2.0])
+    def test_seven_node_trees_match_oracle_detector(self, step_fraction):
+        # every tree has a root, two inner children and four leaf nodes:
+        # the nodes below the root read through the stage's reader too
+        hits = windows = 0
+        for _, model, gray, scale_factor in _cases(66, 16, depth=3):
+            got = detect_multiscale(model, gray, scale_factor=scale_factor, step_fraction=step_fraction)
+            assert got == detect_multiscale_oracle(model, gray, scale_factor=scale_factor, step_fraction=step_fraction)
+            hits += sum(d.neighbors for d in got)
+            for scale in _scales(model, gray, scale_factor):
+                ww, wh = (round(n * scale) for n in model.window)
+                stride = round(max(step_fraction * scale, 1.0))
+                windows += len(range(0, gray.width - ww + 1, stride)) * len(range(0, gray.height - wh + 1, stride))
+        # both outcomes occur, so the comparison is not vacuous
+        assert 0.05 * windows < hits < 0.95 * windows
+
     @pytest.mark.parametrize("side, dtype", [(2048, np.int32), (2112, np.int64)])
     def test_sum_table_either_side_of_the_int32_bound(self, monkeypatch, side, dtype):
         # 2048**2 px is under integral_image's int32 bound of 2**31 / 510 px,
@@ -744,6 +764,33 @@ class TestScanExactness:
         assert dtypes == [(dtype, np.int64)]
         assert [(d.bbox, d.neighbors) for d in got] == [((at, at, win, win), 313)]
         assert got == detect_multiscale_oracle(model, Image(px))
+
+
+class TestStageReaders:
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("stages, readers", [(3, 2), (1, 0)])
+    def test_one_reader_per_later_stage(self, monkeypatch, levels, stages, readers):
+        # the 17 x 7 grid of 24 px windows on a 40 x 30 frame fits one band:
+        # the first stage reads the band's lattice, and each later stage
+        # builds one gather reader of the windows still live, for all its
+        # nodes; every window passes every stage, and no reader is built
+        # after the last
+        win = 24
+        node = pass_all_cascade(win).stages[0].trees[0].nodes[0]
+        root = TreeNode(node.rects, 0.0, left_child=1, right_child=2)
+        tree = Tree([node] if levels == 1 else [root, node, node])
+        model = CascadeModel((win, win), [Stage(0.5, [tree, tree]) for _ in range(stages)])
+        built = []
+
+        def spy(table, xs, ys, real=haar_cascade.gather):
+            built.append(len(xs))
+            return real(table, xs, ys)
+
+        monkeypatch.setattr(haar_cascade, "gather", spy)
+        gray = _random_frame(rand.generator(67, 0), "textured", 40, 30)
+        hits = haar_cascade._scan_scale(model, integral_image(gray), 1.0, win, win, 1)
+        assert len(hits) == 17 * 7
+        assert built == [17 * 7] * readers
 
 
 def _two_level_frame(width, height, low, high):
