@@ -316,14 +316,14 @@ def _tree_values(nodes, sums, inv_norm, scale):
     return values[0]
 
 
-def evaluate_window(scan: memoryview, k: int) -> bool:
-    """The verdict of the window at grid position `k` of one scale, read
-    from `_scan_scale`'s array passes.
+def evaluate_window(scan: list, k: int) -> bool:
+    """The verdict of the window at band-local position `k` of one band of
+    `_scan_scale`'s grid, read from `scan`, the band's list of verdicts.
 
     `_scan_scale` calls this once per grid position: it is the seam the
     benchmark's window counter (`perfbench/check_geometry.py`) wraps. The
-    loop of calls is about two thirds of a 160x120 search frame's scan
-    (3.8 of 5.9 ms, best of 30, wall, 2-CPU x86-64 Xeon), and can go once
+    loop of calls is about three fifths of a 160x120 search frame's scan
+    (3.3 of 5.3 ms, best of 30, wall, 2-CPU x86-64 Xeon), and can go once
     the counter reads `_scan_scale`'s grids instead."""
     return scan[k]
 
@@ -371,11 +371,11 @@ def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, s
     (k % nx * stride, k // nx * stride).
 
     The grid is decided in bands of whole grid rows, SCAN_BLOCK windows or
-    one row each, into a verdict of nx * ny bools. Each band keeps its live
-    windows as int32 grid positions. Every window of a band sees the norms
-    (`_inv_norms`) and the first stage, so those read the band's lattice of
-    windows through one `lattice_sums` reader of each table, built for the
-    band. Each later stage sees the band's live set only: at its top, one
+    one row each. Each band keeps its live windows as int32 grid
+    positions. Every window of a band sees the norms (`_inv_norms`) and the
+    first stage, so those read the band's lattice of windows through one
+    `lattice_sums` reader of each table, built for the band. Each later
+    stage sees the band's live set only: at its top, one
     `_gathered_rect_sums` reader is built at the top-left corners of just
     those windows, and every node of the stage reads through it. Each rect
     is scaled as it is read. A band runs the stages of `model` as parsed,
@@ -385,14 +385,15 @@ def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, s
     total is not below it, so it passes, as in the scalar oracle; huge
     weights overflow to inf and nan there too, and print no warning.
 
-    A loop then reads the verdict with exactly one evaluate_window call
+    Each band's verdict is then a list of bools, True at the windows left
+    after every stage (a list, as CPython specializes its int subscript
+    and a memoryview's not), read with exactly one evaluate_window call
     per grid position, the count the benchmark's window counter checks."""
     rows, row = integral.sum.shape
     nx = len(range(0, row - ww, stride))
     ny = len(range(0, rows - wh, stride))
 
-    verdict = np.zeros(nx * ny, dtype=bool)
-    band = max(1, SCAN_BLOCK // nx)
+    hits, band = [], max(1, SCAN_BLOCK // nx)
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(0, ny, band):
             nb = min(band, ny - top)
@@ -411,11 +412,12 @@ def _scan_scale(model: CascadeModel, integral, scale: float, ww: int, wh: int, s
                     total += _tree_values(tree.nodes, sums, inv_norm, scale)
                 live = np.flatnonzero(~(total < stage.threshold))
                 k, inv_norm = k[live], inv_norm[live]
-            verdict[k] = True  # the windows left after every stage
-    scan, hits = memoryview(verdict), []
-    for k in range(nx * ny):
-        if evaluate_window(scan, k):
-            hits.append((k % nx * stride, k // nx * stride, ww, wh))
+            scan = [False] * (nb * nx)
+            for j in (k - top * nx).tolist():
+                scan[j] = True
+            for j in range(nb * nx):
+                if evaluate_window(scan, j):
+                    hits.append((j % nx * stride, (top + j // nx) * stride, ww, wh))
     return hits
 
 

@@ -125,3 +125,31 @@ def test_scan_scale_grids_sum_to_windows_scanned(monkeypatch, case):
     haar_cascade.detect_multiscale(model, gray, scale_factor=scale_factor, step_fraction=step_fraction)
     want = tracing.windows_scanned(width, height, model.window, scale_factor, step_fraction)
     assert grid[0] == calls[0] == want > 0
+
+
+def test_evaluate_window_reads_one_band_at_a_time(monkeypatch):
+    """At scale 1 of a 1280x960 frame the bench cascade's grid is 1,257 x
+    937 = 1,177,809 windows; every evaluate_window call reads the verdict
+    of one band, at most max(SCAN_BLOCK, nx) entries, and the calls still
+    add up to the geometry formula."""
+    model, width, height = scenes.brightness_cascade(), 1280, 960
+    scan_scale, evaluate = haar_cascade._scan_scale, haar_cascade.evaluate_window
+    bound, calls, sizes, last = [0], [0], [], [None]
+
+    def counted_scan(model, integral, scale, ww, wh, stride):
+        bound[0] = max(haar_cascade.SCAN_BLOCK, len(range(0, width - ww + 1, stride)))
+        return scan_scale(model, integral, scale, ww, wh, stride)
+
+    def counted_evaluate(scan, k):
+        calls[0] += 1
+        if scan is not last[0]:  # the first call that reads this verdict
+            last[0] = scan
+            sizes.append((len(scan), bound[0]))
+        return evaluate(scan, k)
+
+    monkeypatch.setattr(haar_cascade, "_scan_scale", counted_scan)
+    monkeypatch.setattr(haar_cascade, "evaluate_window", counted_evaluate)
+    gray = Image(np.random.default_rng(0).integers(0, 256, size=(height, width), dtype=np.uint8))
+    haar_cascade.detect_multiscale(model, gray)
+    assert all(n <= most for n, most in sizes)
+    assert calls[0] == tracing.windows_scanned(width, height, model.window, 1.1, 1.0)

@@ -617,10 +617,11 @@ def _huge_weight_cases(seed, count):
         yield model, Image(px.astype(np.uint8)), float(rng.uniform(1.05, 1.25))
 
 
-def _scan_against_oracle(cases, stride):
+def _scan_against_oracle(cases, stride, flip=False):
     """Compare _scan_scale with the oracle's passing positions of each
-    scale's stride grid, in row-major order; returns (passed, windows).
-    The library runs with every warning raised as an error."""
+    scale's stride grid (its failing ones if `flip`), in row-major order;
+    returns (positions compared, windows). The library runs with every
+    warning raised as an error."""
     passed = total = 0
     for model, gray, scale_factor in cases:
         table = integral_image(gray)
@@ -632,7 +633,7 @@ def _scan_against_oracle(cases, stride):
                 for y in range(0, gray.height - wh + 1, stride)
                 for x in range(0, gray.width - ww + 1, stride)
             ]
-            want = [(x, y, ww, wh) for x, y in grid if evaluate_window_oracle(model, table, (x, y, scale))]
+            want = [(x, y, ww, wh) for x, y in grid if evaluate_window_oracle(model, table, (x, y, scale)) != flip]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = haar_cascade._scan_scale(model, table, scale, ww, wh, stride)
@@ -643,10 +644,43 @@ def _scan_against_oracle(cases, stride):
 
 
 class TestScanExactness:
-    def test_every_window_at_every_scale_matches_oracle(self):
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_every_window_at_every_scale_matches_oracle(self, monkeypatch, block):
+        # a block of 1 makes every grid row a band of its own
+        if block:
+            monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", block)
         passed, total = _scan_against_oracle((case[1:] for case in _cases(60, 24)), 1)
         # both outcomes occur, so the comparison is not vacuous
         assert 0.05 * total < passed < 0.95 * total
+
+    @pytest.mark.parametrize("block", [None, 30])
+    def test_flipped_verdicts_yield_the_complement(self, monkeypatch, block):
+        # the counted evaluate_window call decides every hit: a wrapper that
+        # returns the opposite verdict makes _scan_scale return exactly the
+        # windows the oracle rejects, still in row-major order
+        evaluate = haar_cascade.evaluate_window
+        monkeypatch.setattr(haar_cascade, "evaluate_window", lambda scan, k: not evaluate(scan, k))
+        if block:
+            monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", block)
+        failed, total = _scan_against_oracle((case[1:] for case in _cases(60, 24)), 2, flip=True)
+        assert 0.05 * total < failed < 0.95 * total
+
+    @pytest.mark.parametrize("block", [None, 30, 1])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_pass_all_returns_every_window_in_row_major_order(self, monkeypatch, stride, block):
+        # 24 px windows on a 31 x 45 frame: at scale 1, rows of 8, 4 or 3
+        # windows, so bands of 30 windows hold 3, 7 or 10 rows and the
+        # last band is short; every window passes, so every entry of each
+        # band's verdict is read as a hit
+        if block:
+            monkeypatch.setattr(haar_cascade, "SCAN_BLOCK", block)
+        model, gray = pass_all_cascade(24), _random_frame(rand.generator(68, 0), "textured", 31, 45)
+        table = integral_image(gray)
+        for scale in _scales(model, gray, 1.1):
+            ww, wh = (round(n * scale) for n in model.window)
+            ys, xs = range(0, gray.height - wh + 1, stride), range(0, gray.width - ww + 1, stride)
+            want = [(x, y, ww, wh) for y in ys for x in xs]
+            assert haar_cascade._scan_scale(model, table, scale, ww, wh, stride) == want
 
     @pytest.mark.parametrize("stride", [2, 3])
     def test_strided_grid_matches_oracle(self, stride):
@@ -695,9 +729,10 @@ class TestScanExactness:
     def test_scan_peak_memory_is_sized_by_the_grid(self):
         # scale 8 of 1280x960 is a 137 x 97 grid of 192 px windows at
         # stride 8, 13,289 windows against 1,231,041 table entries: the
-        # verdict and every array of the band's passes are sized by the
-        # grid, so one scan traces under a byte per table entry (a verdict
-        # keyed by flat table index alone would be 1,231,041 bytes)
+        # band's verdict list and every array of its passes are sized by
+        # the grid, so one scan traces under a byte per table entry (a
+        # bool verdict keyed by flat table index alone would be 1,231,041
+        # bytes)
         gray = Image(np.random.default_rng(0).integers(0, 256, size=(960, 1280), dtype=np.uint8))
         table, model = integral_image(gray), scenes.brightness_cascade()
         ww, wh = (8 * n for n in model.window)
@@ -869,8 +904,8 @@ class TestWindowNorms:
     def test_detect_peak_memory_is_in_place(self):
         # one detect_multiscale at 320x240 peaks at 1.93x one int64 table
         # of the frame: integral_image's int32 sum table, squared table and
-        # uint16 squares (1.78x), then the scan's bool verdict and its
-        # band arrays; each band normalizes only its own windows, so a
+        # uint16 squares (1.78x), then the scan's band arrays and verdict
+        # lists; each band normalizes only its own windows, so a
         # table-sized float64 array of norms does not fit under the bound.
         # A coarse stride keeps the traced run short.
         gray = Image(np.random.default_rng(0).integers(0, 90, size=(240, 320), dtype=np.uint8))
